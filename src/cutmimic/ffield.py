@@ -67,9 +67,6 @@ class PrimeField:
     def reduce(self, x: int) -> int:
         return x % self.p
 
-    def neg(self, x: int) -> int:
-        return (-x) % self.p
-
     def inv(self, x: int) -> int:
         if x % self.p == 0:
             raise ZeroDivisionError("inverse of zero")

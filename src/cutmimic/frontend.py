@@ -34,7 +34,7 @@ from .oracles import (
     verify_mimicking,
 )
 from .reducer import ReduceParams, format_trace, mimicking_network
-from .tester import exact_tester, heuristic_tester
+from .tester import DEFAULT_EXACT_CEILING, exact_tester, heuristic_tester
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,8 @@ def _cmd_tester(args: argparse.Namespace) -> int:
         i0 = args.i0 if args.i0 is not None else DEFAULT_I0
         c = default_c(terminal_capacity(net), i0)
     if args.tester == "exact":
-        ceiling = args.max_exact_n if args.max_exact_n is not None else 20
+        ceiling = (args.max_exact_n if args.max_exact_n is not None
+                   else DEFAULT_EXACT_CEILING)
         verdict = exact_tester(net, c, ceiling)
     else:
         verdict = heuristic_tester(net, c)

@@ -145,11 +145,12 @@ def mark(net: TerminalNetwork, params: MarkParams) -> MarkResult:
     kept = representative_set_product(layered, family, params.tensor_limit)
     survivors = {t[-1] for t in kept.sets}  # the uniform slot carries the id
     marked = tuple(sorted(survivors.union(forced)))
+    # The rank bounds cover the survivors; forced edges come on top.
     bound = layered.rank_product()
-    assert len(marked) <= bound, (len(marked), bound)
+    assert len(survivors) <= bound, (len(survivors), bound)
     assert params.c is not None and params.graphic_rank_cap is not None
     loose = k * params.graphic_rank_cap * k ** (params.i0 - 1)
-    assert len(marked) <= loose, (len(marked), loose)
+    assert len(survivors) <= loose, (len(survivors), loose)
     return MarkResult(marked, layered.ranks, dim, params.seed)
 
 

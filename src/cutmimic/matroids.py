@@ -28,7 +28,7 @@ Node = Hashable
 class Digraph:
     """Immutable digraph with precomputed neighbor maps."""
 
-    __slots__ = ("nodes", "arcs", "_in", "_out")
+    __slots__ = ("nodes", "arcs", "_in")
 
     def __init__(self, nodes: Sequence[Node], arcs: Sequence[tuple[Node, Node]]):
         self.nodes = tuple(sorted(set(nodes), key=repr))
@@ -42,22 +42,14 @@ class Digraph:
                 raise InputError(f"self-arc {a!r} not allowed")
             seen.add((u, v))
         self.arcs = tuple(sorted(seen, key=repr))
-        self._in: dict[Node, tuple[Node, ...]] = {v: () for v in self.nodes}
-        self._out: dict[Node, tuple[Node, ...]] = {v: () for v in self.nodes}
         ins: dict[Node, list[Node]] = {v: [] for v in self.nodes}
-        outs: dict[Node, list[Node]] = {v: [] for v in self.nodes}
         for u, v in self.arcs:
-            outs[u].append(v)
             ins[v].append(u)
-        for v in self.nodes:
-            self._in[v] = tuple(ins[v])
-            self._out[v] = tuple(outs[v])
+        self._in: dict[Node, tuple[Node, ...]] = {
+            v: tuple(ins[v]) for v in self.nodes}
 
     def in_neighbors(self, v: Node) -> tuple[Node, ...]:
         return self._in[v]
-
-    def out_neighbors(self, v: Node) -> tuple[Node, ...]:
-        return self._out[v]
 
 
 @dataclass(frozen=True)

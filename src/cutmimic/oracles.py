@@ -22,6 +22,7 @@ from .netgraph import (
     Partition,
     TerminalNetwork,
     all_partitions,
+    boundary,
     components,
 )
 
@@ -114,8 +115,7 @@ def closest_min_cut(net: TerminalNetwork, A: Iterable[int],
     read off as the boundary of the residual-reachable set after max flow.
     """
     value, reach = _edge_flow(net, A, B)
-    cut = tuple(sorted(e for e, u, v in net.edges
-                       if (u in reach) != (v in reach)))
+    cut = boundary(net, reach)
     assert len(cut) == value, (len(cut), value)
     return cut
 
@@ -130,8 +130,7 @@ def _check_partition(net: TerminalNetwork, part: Partition) -> None:
 
 def is_multiway_cut(net: TerminalNetwork, part: Partition,
                     X: Iterable[int]) -> bool:
-    remaining_comp = _components_without(net, set(X))
-    for comp in remaining_comp:
+    for comp in components(net, X):
         blocks_met = {part.block_of(t) for t in comp if t in set(net.terminals)}
         if len(blocks_met) > 1:
             return False
@@ -141,36 +140,10 @@ def is_multiway_cut(net: TerminalNetwork, part: Partition,
 def is_multicut(net: TerminalNetwork, requests: CutRequests,
                 X: Iterable[int]) -> bool:
     comp_of = {}
-    for i, comp in enumerate(_components_without(net, set(X))):
+    for i, comp in enumerate(components(net, X)):
         for v in comp:
             comp_of[v] = i
     return all(comp_of[u] != comp_of[v] for u, v in requests.pairs)
-
-
-def _components_without(net: TerminalNetwork,
-                        X: set[int]) -> tuple[tuple[int, ...], ...]:
-    adj: dict[int, list[int]] = {v: [] for v in net.vertices}
-    for eid, u, v in net.edges:
-        if eid in X:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    seen: set[int] = set()
-    out = []
-    for v in net.vertices:
-        if v in seen:
-            continue
-        comp, stack = [], [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
 
 
 def _violating_path(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
@@ -297,9 +270,7 @@ def _solve_multiway(net: TerminalNetwork, part: Partition,
                                   forbidden=forbidden)
         if value >= INF // 2:
             return INF, None
-        cut = tuple(sorted(e for e, u, v in net.edges
-                           if (u in reach) != (v in reach)))
-        return value, cut
+        return value, boundary(net, reach)
     pair_list = [(i, j) for i in range(len(blocks))
                  for j in range(i + 1, len(blocks))]
     return _solve_separation(net, blocks, pair_list, forbidden, max_edges)
@@ -329,9 +300,7 @@ def min_multicut(net: TerminalNetwork, requests: CutRequests,
     if len(pairs) == 1:
         (s, t), = pairs
         value, reach = _edge_flow(net, [s], [t])
-        cut = tuple(sorted(e for e, u, v in net.edges
-                           if (u in reach) != (v in reach)))
-        return value, cut
+        return value, boundary(net, reach)
     groups: list[tuple[int, ...]] = []
     index: dict[int, int] = {}
     for v in sorted({x for p in pairs for x in p}):

@@ -79,7 +79,6 @@ def exact_tester(net: TerminalNetwork, c: int,
         return TesterVerdict("dense")
     verts = net.vertices
     vidx = {v: i for i, v in enumerate(verts)}
-    deg = [net.degree(v) for v in verts]
     tflag = [v in set(net.terminals) for v in verts]
     closed = [1 << i for i in range(n)]
     nbrs: list[dict[int, int]] = [dict() for _ in range(n)]  # index -> multiplicity
@@ -89,6 +88,7 @@ def exact_tester(net: TerminalNetwork, c: int,
         nbrs[vi][ui] = nbrs[vi].get(ui, 0) + 1
         closed[ui] |= 1 << vi
         closed[vi] |= 1 << ui
+    deg = [sum(nb.values()) for nb in nbrs]
     full = (1 << n) - 1
 
     best: tuple[int, int, tuple[int, ...]] | None = None
@@ -155,7 +155,7 @@ def heuristic_tester(net: TerminalNetwork, c: int) -> TesterVerdict:
             seen.update(nxt)
             frontier = nxt
         sweeps.append(order)
-    sweeps.append(sorted(net.vertices, key=lambda v: (net.degree(v), v)))
+    sweeps.append(sorted(net.vertices, key=lambda v: (len(adj[v]), v)))
     for order in sweeps:
         prefix: set[int] = set()
         for v in order:

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from cutmimic.errors import InputError, MarkingRefusedError
+from cutmimic.frontend import cli
 from cutmimic.marker import (
     DEFAULT_I0,
     MarkParams,
@@ -21,10 +22,13 @@ from cutmimic.netgraph import (
     all_partitions,
     components,
     delete_edges,
+    format_network,
+    parse_network,
     t_capacity,
     terminal_capacity,
 )
 from cutmimic.oracles import (
+    cut_value_table,
     enumerate_minimum_multiway_cuts,
     essential_edges,
     essential_for_network,
@@ -195,6 +199,26 @@ def test_mark_parallel_paths_sound_by_vacuity():
     assert essential_for_network(net) == ()
     res = mark(net, MarkParams(c=4, i0=2))
     assert set(res.marked) <= {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("seed", [37, 60])
+def test_small_prime_reduce_keeps_cut_table(tmp_path, seed):
+    """Acceptance-corpus instances 37 and 60 at --prime 101: edges forced in
+    by zero columns sit outside the rank-product bound, which covers only
+    the representative-set survivors, so the reduction must finish and keep
+    every partition's cut value.
+    """
+    t = [2, 3, 4, 5][seed % 4]
+    net = random_connected_network(
+        random.Random(seed), n_lo=max(4, t + 1), n_hi=14,
+        extra_lo=0, extra_hi=5 if t <= 3 else 2, n_terminals=t, cap_max=8)
+    src, out = tmp_path / "in.net", tmp_path / "out.net"
+    src.write_text(format_network(net))
+    rc = cli(["reduce", str(src), "--threshold", "2", "--prime", "101",
+              "--seed", str(seed), "--out", str(out)])
+    assert rc == 0
+    reduced = parse_network(out.read_text())
+    assert cut_value_table(reduced).entries == cut_value_table(net).entries
 
 
 # covering condition

@@ -5,6 +5,7 @@ terminal networks, with brute-force oracles for desk-scale verification.
 from .errors import (
     FieldTooSmallError,
     InputError,
+    InternalError,
     MarkingRefusedError,
     RefusedError,
     TerminalContractionError,
@@ -75,6 +76,7 @@ __all__ = [
     "CutValueTable",
     "FieldTooSmallError",
     "InputError",
+    "InternalError",
     "LayeredMatroid",
     "MERSENNE61",
     "MarkParams",

@@ -1,8 +1,10 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: InputError -> 2, RefusedError -> 3.
-TerminalContractionError signals a logic error in the caller and is not
-translated; it should never escape a correct pipeline.
+The CLI maps these onto exit codes: InputError -> 2, RefusedError -> 3, and
+any other exception -> 4 (an internal failure). InternalError is raised by
+the checks that guard outputs; TerminalContractionError signals a logic
+error in the caller. Neither should escape a correct pipeline, and both
+exit with 4 rather than with a code that could be read as an answer.
 """
 
 
@@ -28,3 +30,7 @@ class MarkingRefusedError(RefusedError):
 
 class TerminalContractionError(RuntimeError):
     """Contraction would merge two terminal identities."""
+
+
+class InternalError(RuntimeError):
+    """A check on the program's own output failed: a bug, not bad input."""

@@ -1,7 +1,7 @@
 """Kernelization front ends and the command-line interface.
 
 Exit codes: 0 success, 1 NO-instance (and DIFFER from verify), 2 bad input,
-3 refused by a size ceiling.
+3 refused by a size ceiling, 4 internal failure.
 """
 
 from __future__ import annotations
@@ -351,6 +351,9 @@ def cli(argv: list[str] | None = None) -> int:
     except RefusedError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

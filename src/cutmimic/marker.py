@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
-from .errors import InputError, MarkingRefusedError
+from .errors import InputError, InternalError, MarkingRefusedError
 from .ffield import PrimeField
 from .matroids import (
     LayeredMatroid,
@@ -147,10 +147,14 @@ def mark(net: TerminalNetwork, params: MarkParams) -> MarkResult:
     marked = tuple(sorted(survivors.union(forced)))
     # The rank bounds cover the survivors; forced edges come on top.
     bound = layered.rank_product()
-    assert len(survivors) <= bound, (len(survivors), bound)
+    if len(survivors) > bound:
+        raise InternalError(
+            f"{len(survivors)} survivors exceed the rank product {bound}")
     assert params.c is not None and params.graphic_rank_cap is not None
     loose = k * params.graphic_rank_cap * k ** (params.i0 - 1)
-    assert len(survivors) <= loose, (len(survivors), loose)
+    if len(survivors) > loose:
+        raise InternalError(
+            f"{len(survivors)} survivors exceed the loose bound {loose}")
     return MarkResult(marked, layered.ranks, dim, params.seed)
 
 

@@ -4,12 +4,22 @@ Three families feed the marking stage: gammoids on an edge-adjacency digraph
 (via the dual-of-transversal construction), truncated graphic matroids, and
 uniform matroids. A layered matroid stacks several representations over the
 same ground set so that one column tuple can be read off per element.
+
+The gammoid is the costly layer. Its transversal pattern is block
+lower-triangular: a node without out-arcs (every sink-only copy ("zp", e)
+of the edge-cut digraph) is nobody's in-neighbor, so its column is zero
+outside its own row. gammoid_rep therefore eliminates only the block of
+non-source nodes that have out-arcs and reads each sink's part of the dual
+off its own pattern row. The pattern is drawn in the same order as a full
+reduction would draw it, the reduced form it stands for is unique, and the
+two are singular together, so the result matches the full reduction bit for
+bit, rng state and refusals included.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Any, Hashable, Sequence
 
 from .errors import InputError, RefusedError
@@ -62,19 +72,22 @@ class MatroidRep:
     matrix: PrimeFieldMatrix
     ground: tuple[Any, ...]
     rank: int
+    _index: dict[Any, int] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.ground) != self.matrix.cols:
             raise InputError("ground size does not match column count")
-        if len(set(self.ground)) != len(self.ground):
+        index = {x: j for j, x in enumerate(self.ground)}
+        if len(index) != len(self.ground):
             raise InputError("duplicate ground elements")
         if self.rank < 0 or self.rank > self.matrix.rows:
             raise InputError("declared rank out of range")
+        object.__setattr__(self, "_index", index)
 
     def column_index(self, x: Any) -> int:
         try:
-            return self.ground.index(x)
-        except ValueError:
+            return self._index[x]
+        except (KeyError, TypeError):
             raise InputError(f"{x!r} is not a ground element") from None
 
     def column_of(self, x: Any) -> list[int]:
@@ -251,8 +264,8 @@ def build_edge_cut_gammoid_digraph(net: TerminalNetwork) -> GammoidInstance:
     tset = set(net.terminals)
     sources = tuple(("z", e) for e, u, v in net.edges
                     if u in tset or v in tset)
-    return GammoidInstance(Digraph(nodes, sorted(arcs, key=repr)),
-                           sources, tuple(nodes), eids)
+    return GammoidInstance(Digraph(nodes, tuple(arcs)), sources,
+                           tuple(nodes), eids)
 
 
 def max_disjoint_paths(dg: Digraph, sources: Sequence[Node],
@@ -317,66 +330,106 @@ def gammoid_rep(field: PrimeField, rng: random.Random, dg: Digraph,
                 retries: int = 8) -> MatroidRep:
     """Linear representation of the gammoid on `ground` linked to `sources`.
 
-    Built as the dual of a transversal representation: one row per non-source
-    node u with random nonzero entries at u and at the in-neighbors of u,
-    put in standard form and dualized, then restricted to the ground columns.
-    Declared rank is |sources|.
+    Built as the dual of a transversal representation. The pattern has one
+    row per non-source node u, with random nonzero entries at u (drawn
+    first) and at the in-neighbors of u (in `in_neighbors` order), rows in
+    node order. With the non-source columns as the block B and the source
+    columns as C, the dual is [-A^T | I] for A = B^-1 C, restricted to the
+    ground columns. Declared rank is |sources|.
+
+    A non-source node without out-arcs (a sink) is nobody's in-neighbor, so
+    its column is zero outside its own row and B is block lower-triangular:
+    the inner block (non-source nodes with out-arcs) over a nonzero
+    diagonal. Only the inner block is eliminated, with back-substitution
+    for the |sources| right-hand columns; each sink's row of A is then read
+    off its pattern row. B is singular exactly when the inner block is, and
+    A is unique, so this returns the same matrix, after the same draws, as
+    a full reduction of the pattern would.
     """
     src = set(sources)
     if not src <= set(dg.nodes):
         raise InputError("sources must be digraph nodes")
     if not set(ground) <= set(dg.nodes):
         raise InputError("ground must be digraph nodes")
+    p = field.p
+    tails = {u for u, _ in dg.arcs}
     non_src = [v for v in dg.nodes if v not in src]
-    src_list = [v for v in dg.nodes if v in src]
-    # Column layout: non-source block first so the pattern's diagonal sits in
-    # the pivot block; the dual then lands as [-A^T | I] in the same layout.
-    col_order = non_src + src_list
-    col_pos = {v: j for j, v in enumerate(col_order)}
-    n_rows, n_cols = len(non_src), len(col_order)
+    src_pos = {v: i for i, v in enumerate(x for x in dg.nodes if x in src)}
+    s = len(src_pos)
+    inner_pos = {v: i for i, v in enumerate(u for u in non_src if u in tails)}
+    n = len(inner_pos)
+    # Inner solve layout: inner columns first, then the source columns.
+    col_pos = dict(inner_pos)
+    col_pos.update((v, n + i) for v, i in src_pos.items())
 
     for _ in range(retries):
-        pat = PrimeFieldMatrix(field, n_rows, n_cols)
-        for i, u in enumerate(non_src):
-            base = i * n_cols
-            pat.data[base + col_pos[u]] = random_nonzero(rng, field)
-            for w in dg.in_neighbors(u):
-                pat.data[base + col_pos[w]] = random_nonzero(rng, field)
-        reduced = _row_reduce(pat)
-        if reduced is None:
+        work: list[list[int]] = []
+        sink_rows: list[tuple[Node, int, list[tuple[Node, int]]]] = []
+        for u in non_src:
+            own = random_nonzero(rng, field)
+            nbrs = [(w, random_nonzero(rng, field))
+                    for w in dg.in_neighbors(u)]
+            if u in inner_pos:
+                row = [0] * (n + s)
+                row[inner_pos[u]] = own
+                for w, x in nbrs:
+                    row[col_pos[w]] = x
+                work.append(row)
+            else:
+                sink_rows.append((u, own, nbrs))
+        inner_a = _solve_leading_block(p, work, n)
+        if inner_a is None:
             continue
-        # reduced == [I | A] on (non_src | src): dual is [-A^T | I].
-        dual = PrimeFieldMatrix(field, len(src_list), n_cols)
-        for i in range(len(src_list)):
-            base = i * n_cols
-            for j in range(n_rows):
-                dual.data[base + j] = (-reduced.entry(j, n_rows + i)) % field.p
-            dual.data[base + n_rows + i] = 1
-        idxs = [col_pos[x] for x in ground]
-        return MatroidRep(dual.submatrix_columns(idxs), tuple(ground),
-                          len(src_list))
+        a_rows = dict(zip(inner_pos, inner_a))
+        # A_y = w_yy^-1 (C_y - sum_z w_yz A_z) over y's in-neighbors z.
+        for y, own, nbrs in sink_rows:
+            acc = [0] * s
+            for w, x in nbrs:
+                if w in src_pos:
+                    acc[src_pos[w]] += x
+                else:
+                    acc = [a - x * b for a, b in zip(acc, a_rows[w])]
+            inv = pow(own, -1, p)
+            a_rows[y] = [a * inv % p for a in acc]
+        cols = [[int(i == src_pos[x]) for i in range(s)] if x in src_pos
+                else [-a % p for a in a_rows[x]] for x in ground]
+        data = [col[i] for i in range(s) for col in cols]
+        return MatroidRep(PrimeFieldMatrix(field, s, len(cols), data),
+                          tuple(ground), s)
     raise RefusedError("transversal pattern kept losing rank; giving up")
 
 
-def _row_reduce(m: PrimeFieldMatrix) -> PrimeFieldMatrix | None:
-    """Reduced row echelon form, expecting pivots exactly on the leading
-    square block. Returns None if any pivot falls outside it.
+def _solve_leading_block(p: int, work: list[list[int]],
+                         n: int) -> list[list[int]] | None:
+    """Rows of B^-1 C for work = [B | C] with B its leading n x n block, by
+    forward elimination then back-substitution; None if B is singular.
+    Overwrites `work`.
     """
-    p = m.field.p
-    work = [m.row(i) for i in range(m.rows)]
-    for r in range(m.rows):
-        piv = next((i for i in range(r, m.rows) if work[i][r]), None)
+    for r in range(n):
+        piv = next((i for i in range(r, n) if work[i][r]), None)
         if piv is None:
             return None
         work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][r], -1, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(m.rows):
-            if i != r and work[i][r]:
-                f = work[i][r]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
-    return PrimeFieldMatrix(m.field, m.rows, m.cols,
-                            [x for row in work for x in row])
+        row = work[r]
+        inv = pow(row[r], -1, p)
+        tail = [x * inv % p for x in row[r + 1:]]
+        row[r + 1:] = tail
+        for i in range(r + 1, n):
+            f = work[i][r]
+            if f:
+                wi = work[i]
+                wi[r + 1:] = [(a - f * b) % p
+                              for a, b in zip(wi[r + 1:], tail)]
+    out: list[list[int]] = [[]] * n
+    for r in range(n - 1, -1, -1):
+        row = work[r]
+        acc = row[n:]
+        for j in range(r + 1, n):
+            f = row[j]
+            if f:
+                acc = [a - f * b for a, b in zip(acc, out[j])]
+        out[r] = [a % p for a in acc]
+    return out
 
 
 def edge_cut_gammoid(field: PrimeField, rng: random.Random,

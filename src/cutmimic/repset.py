@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Any, Sequence
 
-from .errors import InputError, RefusedError
+from .errors import InputError, InternalError, RefusedError
 from .ffield import (
     PrimeField,
     PrimeFieldMatrix,
@@ -74,8 +74,8 @@ def representative_set_product(matroid: LayeredMatroid, family: CandidateFamily,
     keep a greedy maximal independent set of tensors, scanning in input order.
 
     Every tuple must be independent in the layered matroid, i.e. no layer may
-    assign it a zero column. The survivor count is asserted against the
-    product of the declared layer ranks.
+    assign it a zero column. A survivor count above the product of the
+    declared layer ranks raises InternalError.
     """
     if family.mode != "product":
         raise InputError("product-form selection needs a product-mode family")
@@ -96,7 +96,9 @@ def representative_set_product(matroid: LayeredMatroid, family: CandidateFamily,
     stacked = _columns_matrix(field, tensors)
     keep = select_independent_columns(stacked)
     bound = matroid.rank_product()
-    assert len(keep) <= bound, (len(keep), bound)
+    if len(keep) > bound:
+        raise InternalError(
+            f"{len(keep)} survivors exceed the rank product {bound}")
     return family.subfamily(keep)
 
 
@@ -107,9 +109,9 @@ def representative_set_general(matrix: PrimeFieldMatrix,
 
     Each candidate is mapped to the vector of its s x s minors, taken over
     row s-subsets of a row basis in lexicographic order, and a greedy
-    maximal independent set of those vectors is kept in input order. The
-    survivor count is asserted against C(r+s, s), where r defaults to
-    rank(matrix) - s.
+    maximal independent set of those vectors is kept in input order. A
+    survivor count above C(r+s, s), where r defaults to rank(matrix) - s,
+    raises InternalError.
     """
     if family.mode != "general":
         raise InputError("general-form selection needs a general-mode family")
@@ -149,7 +151,9 @@ def representative_set_general(matrix: PrimeFieldMatrix,
     stacked = _columns_matrix(field, vectors)
     keep = select_independent_columns(stacked)
     bound = comb(r + s, s)
-    assert len(keep) <= bound, (len(keep), bound)
+    if len(keep) > bound:
+        raise InternalError(
+            f"{len(keep)} survivors exceed C(r+s, s) = {bound}")
     return family.subfamily(keep)
 
 

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from cutmimic import frontend
 from cutmimic.errors import InputError
 from cutmimic.frontend import (
     MulticutInstance,
@@ -338,6 +339,22 @@ def test_cli_kernelize_multicut_emits_primed_requests(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("r ")
     a, b = (int(x) for x in lines[0].split()[1:])
     assert {a, b} <= set(kernel.terminals)
+
+
+def test_cli_internal_failure_exits_four(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("survivors 9 > bound 4")
+
+    monkeypatch.setattr(frontend, "_cmd_mark", broken)
+    net = tmp_path / "tri.net"
+    net.write_text(format_network(triangle()), encoding="utf-8")
+    assert cli(["mark", str(net)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: AssertionError: survivors 9 > bound 4\n"
+    # argparse's own exit is not an internal failure
+    with pytest.raises(SystemExit) as exc:
+        cli(["mark"])
+    assert exc.value.code == 2
 
 
 def test_cli_malformed_input_exits_two(tmp_path, capsys):

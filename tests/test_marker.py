@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cutmimic.errors import InputError, MarkingRefusedError
+from cutmimic.errors import InputError, InternalError, MarkingRefusedError
 from cutmimic.frontend import cli
 from cutmimic.marker import (
     DEFAULT_I0,
@@ -17,6 +17,7 @@ from cutmimic.marker import (
     default_c,
     mark,
 )
+from cutmimic.matroids import LayeredMatroid
 from cutmimic.netgraph import (
     TerminalNetwork,
     all_partitions,
@@ -199,6 +200,13 @@ def test_mark_parallel_paths_sound_by_vacuity():
     assert essential_for_network(net) == ()
     res = mark(net, MarkParams(c=4, i0=2))
     assert set(res.marked) <= {1, 2, 3, 4}
+
+
+def test_mark_bound_breach_raises_internal_error(monkeypatch):
+    # an explicit raise, so the check also holds under python -O
+    monkeypatch.setattr(LayeredMatroid, "rank_product", lambda self: 0)
+    with pytest.raises(InternalError, match="exceed the rank product 0"):
+        mark(k4(), MarkParams(c=2, i0=2))
 
 
 @pytest.mark.parametrize("seed", [37, 60])

@@ -1,15 +1,21 @@
-"""Prime-field scalars and dense matrices.
+"""Prime-field scalars, dense matrices and greedy bases of vectors.
 
 Entries are plain Python ints reduced into [0, p). The default modulus is the
 Mersenne prime 2^61 - 1; products of two reduced entries exceed 64 bits, which
 is why matrices are row-major int lists rather than fixed-width arrays.
+
+The marking stage's selection works on plain lists of vectors, not on a
+matrix: select_independent_columns scans them in the caller's order and
+keeps each one outside the span of those kept before it. That kept set is a
+property of the vectors alone, so it does not depend on how the reduction
+is organised.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import FieldTooSmallError, InputError, RefusedError
 
@@ -40,16 +46,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def random_prime(bits: int, rng: random.Random) -> int:
-    """Uniform-ish random prime with the given bit length, bits in [32, 62]."""
-    if not 32 <= bits <= 62:
-        raise InputError(f"prime bit length must be in [32, 62], got {bits}")
-    while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_prime(cand):
-            return cand
 
 
 @dataclass(frozen=True)
@@ -91,10 +87,6 @@ class PrimeFieldMatrix:
             if len(data) != rows * cols:
                 raise InputError("data length does not match dimensions")
             self.data = [x % field.p for x in data]
-
-    @staticmethod
-    def zeros(field: PrimeField, rows: int, cols: int) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix(field, rows, cols)
 
     @staticmethod
     def identity(field: PrimeField, nn: int) -> "PrimeFieldMatrix":
@@ -177,53 +169,38 @@ def rank(matrix: PrimeFieldMatrix) -> int:
     return r
 
 
-def row_basis(matrix: PrimeFieldMatrix) -> PrimeFieldMatrix:
-    """Echelon basis of the row space (the nonzero rows after elimination)."""
-    p = matrix.field.p
-    work = [matrix.row(i) for i in range(matrix.rows)]
-    out: list[list[int]] = []
-    r = 0
-    for col in range(matrix.cols):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][col]
-        for i in range(r + 1, len(work)):
-            f = work[i][col]
-            if f:
-                work[i] = [(lead * a - f * b) % p
-                           for a, b in zip(work[i], work[r])]
-        out.append(work[r])
-        r += 1
-        if r == len(work):
-            break
-    return PrimeFieldMatrix(matrix.field, len(out), matrix.cols,
-                            [x for row in out for x in row])
+def select_independent_columns(field: PrimeField,
+                               vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Greedy maximal independent subset of equal-length vectors, scanning in
+    list order. Returns the kept indices in scan order.
 
-
-def select_independent_columns(matrix: PrimeFieldMatrix,
-                               order: Sequence[int] | None = None) -> list[int]:
-    """Greedy maximal independent column set, scanning in the given order
-    (default 0..cols-1). Returns the kept column indices in scan order.
+    Each kept vector is stored reduced, from its lead (first nonzero entry,
+    scaled to 1) onward, and later vectors are reduced against the kept ones
+    in insertion order, each from its lead onward. That is exact: a stored
+    vector is zero before its own lead and at every earlier lead, so no step
+    undoes an earlier one, and a vector reduces to zero exactly when it lies
+    in the span of those kept before it. Once the kept vectors span the
+    whole space, every later one would reduce to zero, so the scan stops.
     """
-    p = matrix.field.p
-    idxs = list(range(matrix.cols)) if order is None else list(order)
-    pivots: list[tuple[int, list[int], int]] = []  # (lead position, vector, inv(lead))
+    if any(len(v) != len(vectors[0]) for v in vectors):
+        raise InputError("ragged candidate vectors")
+    p = field.p
+    pivots: list[tuple[int, list[int]]] = []  # (lead, vector from lead on)
     kept: list[int] = []
-    for j in idxs:
-        v = matrix.column(j)
-        for pos, pvec, pinv in pivots:
-            f = v[pos]
+    for j, vec in enumerate(vectors):
+        v = [x % p for x in vec]
+        for lead, tail in pivots:
+            f = v[lead]
             if f:
-                scale = f * pinv % p
-                v = [(a - scale * b) % p for a, b in zip(v, pvec)]
+                v[lead:] = [(a - f * b) % p for a, b in zip(v[lead:], tail)]
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             continue
         kept.append(j)
-        pivots.append((lead, v, pow(v[lead], -1, p)))
-        pivots.sort(key=lambda t: t[0])
+        if len(kept) == len(v):
+            break  # a full basis: every later vector is in its span
+        inv = pow(v[lead], -1, p)
+        pivots.append((lead, [x * inv % p for x in v[lead:]]))
     return kept
 
 

@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import InputError, RefusedError
+from .errors import InputError, InternalError, RefusedError
 from .ffield import PrimeField
 from .marker import DEFAULT_I0, MarkParams, default_c, mark
 from .netgraph import (
@@ -91,7 +91,11 @@ def kernelize_multiway_cut(inst: MultiwayCutInstance, params: ReduceParams
     if terminal_capacity(net) > 2 * inst.budget:
         return None
     reduced, _ = mimicking_network(net, params)
-    assert terminal_capacity(reduced) <= 2 * inst.budget
+    cap = terminal_capacity(reduced)
+    if cap > 2 * inst.budget:
+        raise InternalError(
+            f"kernel terminal capacity {cap} exceeds twice the budget "
+            f"{inst.budget}")
     return MultiwayCutInstance(reduced, inst.budget)
 
 
@@ -128,7 +132,10 @@ def multicut_gadget(inst: MulticutInstance
     for s, t in inst.requests:
         primed_requests.append((attach(s), attach(t)))
     gadget = TerminalNetwork.build(vertices, edges, terms)
-    assert terminal_capacity(gadget) == 2 * len(inst.requests) * (p + 1)
+    cap, want = terminal_capacity(gadget), 2 * len(inst.requests) * (p + 1)
+    if cap != want:
+        raise InternalError(
+            f"gadget terminal capacity {cap} differs from {want}")
     return gadget, tuple(primed_requests)
 
 

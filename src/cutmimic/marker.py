@@ -131,7 +131,9 @@ def mark(net: TerminalNetwork, params: MarkParams) -> MarkResult:
         raise MarkingRefusedError(
             f"tensor dimension {dim} exceeds limit {params.tensor_limit}; "
             f"lower c or i0, or raise the limit")
-    assert len(layered.layers) == params.i0 + 1
+    if len(layered.layers) != params.i0 + 1:
+        raise InternalError(
+            f"{len(layered.layers)} layers built for i0 = {params.i0}")
     forced: list[int] = []
     tuples: list[tuple] = []
     for e in net.edge_ids():

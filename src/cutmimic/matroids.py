@@ -101,12 +101,6 @@ class MatroidRep:
         return rank(sub) == len(idxs)
 
 
-def relabel_ground(rep: MatroidRep, labels: Sequence[Any]) -> MatroidRep:
-    if len(labels) != len(rep.ground):
-        raise InputError("relabel length mismatch")
-    return MatroidRep(rep.matrix, tuple(labels), rep.rank)
-
-
 @dataclass(frozen=True)
 class LayeredMatroid:
     """Direct sum of representations on disjoint copies of their grounds.
@@ -134,9 +128,6 @@ class LayeredMatroid:
         for r in self.ranks:
             out *= r
         return out
-
-    def total_columns(self) -> int:
-        return sum(layer.matrix.cols for layer in self.layers)
 
     def tuple_column(self, t: Sequence[Any]) -> list[list[int]]:
         """Columns of a one-element-per-layer tuple, in layer order."""
@@ -198,29 +189,28 @@ def graphic_rep(field: PrimeField, rng: random.Random, net: TerminalNetwork,
                 max_rank: int, retries: int = 8) -> MatroidRep:
     """Graphic matroid of the network truncated to rank at most max_rank.
 
-    Truncation is a random projection of the signed incidence columns; the
-    result's matrix rank is checked against the declared rank and redrawn
-    on the (vanishingly unlikely) deficiency.
+    Truncation is a random r x |V| projection of the signed incidence
+    columns, drawn row-major; the result's matrix rank is checked against
+    the declared rank and redrawn on the (vanishingly unlikely) deficiency.
+    An incidence column is +1 at the lower endpoint and -1 at the higher,
+    so each projected entry is read off directly as proj[i][lo] -
+    proj[i][hi] mod p: the same matrix as the product, after the same draws.
     """
     if max_rank < 0:
         raise InputError("max_rank must be nonnegative")
-    inc = signed_incidence(field, net)
     full_rank = net.n - len(components(net))
     r = min(max_rank, full_rank)
     ground = net.edge_ids()
     if r == full_rank:
-        return MatroidRep(inc, ground, r)
+        return MatroidRep(signed_incidence(field, net), ground, r)
+    vidx = {v: i for i, v in enumerate(net.vertices)}
+    ends = [(vidx[u], vidx[v]) if u < v else (vidx[v], vidx[u])
+            for _, u, v in net.edges]
     for _ in range(retries):
-        proj = PrimeFieldMatrix(
-            field, r, net.n,
-            [rng.randrange(field.p) for _ in range(r * net.n)])
-        out = PrimeFieldMatrix(field, r, net.m)
-        for i in range(r):
-            prow = proj.row(i)
-            for j in range(net.m):
-                col = inc.column(j)
-                out.data[i * net.m + j] = sum(
-                    a * b for a, b in zip(prow, col)) % field.p
+        proj = [[rng.randrange(field.p) for _ in range(net.n)]
+                for _ in range(r)]
+        out = PrimeFieldMatrix(field, r, net.m, [
+            prow[lo] - prow[hi] for prow in proj for lo, hi in ends])
         if rank(out) == r:
             return MatroidRep(out, ground, r)
     raise RefusedError("graphic truncation kept losing rank; giving up")
@@ -236,7 +226,6 @@ class GammoidInstance:
     digraph: Digraph
     sources: tuple[Node, ...]
     ground: tuple[Node, ...]
-    edge_ids: tuple[int, ...]
 
 
 def build_edge_cut_gammoid_digraph(net: TerminalNetwork) -> GammoidInstance:
@@ -264,8 +253,7 @@ def build_edge_cut_gammoid_digraph(net: TerminalNetwork) -> GammoidInstance:
     tset = set(net.terminals)
     sources = tuple(("z", e) for e, u, v in net.edges
                     if u in tset or v in tset)
-    return GammoidInstance(Digraph(nodes, tuple(arcs)), sources,
-                           tuple(nodes), eids)
+    return GammoidInstance(Digraph(nodes, tuple(arcs)), sources, tuple(nodes))
 
 
 def max_disjoint_paths(dg: Digraph, sources: Sequence[Node],

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InputError, TerminalContractionError
+from .errors import InputError, InternalError, TerminalContractionError
 
 
 @dataclass(frozen=True)
@@ -137,20 +137,11 @@ def boundary(net: TerminalNetwork, S: Iterable[int]) -> tuple[int, ...]:
     return tuple(eid for eid, u, v in net.edges if (u in sset) != (v in sset))
 
 
-def edges_between(net: TerminalNetwork, A: Iterable[int], B: Iterable[int]) -> tuple[int, ...]:
-    aset = _vertex_subset(net, A)
-    bset = _vertex_subset(net, B)
-    if aset & bset:
-        raise InputError("edges_between requires disjoint vertex sets")
-    return tuple(eid for eid, u, v in net.edges
-                 if (u in aset and v in bset) or (u in bset and v in aset))
-
-
 def t_capacity(net: TerminalNetwork, S: Iterable[int]) -> int:
     """cap_T(S) = cap(T intersect S) + |boundary(S)|.
 
     Equals the terminal capacity of the recursive instance on S; the identity
-    is asserted by recursive_instance.
+    is checked by recursive_instance.
     """
     sset = _vertex_subset(net, S)
     return capacity(net, sset & set(net.terminals)) + len(boundary(net, sset))
@@ -212,7 +203,10 @@ def recursive_instance(net: TerminalNetwork, S: Iterable[int]
     sub = TerminalNetwork.build(verts, kept, new_terms)
     # cap_{G_S}(T(S)) must equal cap_T(S) in the parent; both double-count
     # terminal-to-boundary edges the same way.
-    assert terminal_capacity(sub) == t_capacity(net, sset)
+    cap, want = terminal_capacity(sub), t_capacity(net, sset)
+    if cap != want:
+        raise InternalError(
+            f"recursive instance capacity {cap} differs from cap_T(S) {want}")
     return sub, {eid: eid for eid, _, _ in kept}
 
 

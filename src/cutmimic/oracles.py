@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import InputError, RefusedError
+from .errors import InputError, InternalError, RefusedError
 from .netgraph import (
     CutRequests,
     Partition,
@@ -116,7 +116,9 @@ def closest_min_cut(net: TerminalNetwork, A: Iterable[int],
     """
     value, reach = _edge_flow(net, A, B)
     cut = boundary(net, reach)
-    assert len(cut) == value, (len(cut), value)
+    if len(cut) != value:
+        raise InternalError(
+            f"closest cut has {len(cut)} edges but the flow value is {value}")
     return cut
 
 
@@ -285,8 +287,12 @@ def min_multiway_cut(net: TerminalNetwork, part: Partition,
     """
     _check_partition(net, part)
     value, witness = _solve_multiway(net, part, frozenset(), max_edges)
-    assert value < INF // 2 and witness is not None
-    assert is_multiway_cut(net, part, witness)
+    if value >= INF // 2 or witness is None:
+        raise InternalError(f"no finite multiway cut for {part.to_text()}")
+    if not is_multiway_cut(net, part, witness):
+        raise InternalError(
+            f"witness {witness} of value {value} is not a multiway cut "
+            f"for {part.to_text()}")
     return value, witness
 
 
@@ -309,8 +315,12 @@ def min_multicut(net: TerminalNetwork, requests: CutRequests,
     pair_list = [(index[u], index[v]) for u, v in pairs]
     value, witness = _solve_separation(net, groups, pair_list,
                                        frozenset(), max_edges)
-    assert value < INF // 2 and witness is not None
-    assert is_multicut(net, requests, witness)
+    if value >= INF // 2 or witness is None:
+        raise InternalError(f"no finite multicut for {len(pairs)} requests")
+    if not is_multicut(net, requests, witness):
+        raise InternalError(
+            f"witness {witness} of value {value} is not a multicut "
+            f"for {len(pairs)} requests")
     return value, witness
 
 
@@ -381,12 +391,6 @@ class CutValueTable:
         for part, value in self.entries:
             if len(part.blocks) == 1 and value != 0:
                 raise InputError("single-block partition must have value 0")
-
-    def value_of(self, part: Partition) -> int:
-        for p, v in self.entries:
-            if p == part:
-                return v
-        raise InputError(f"partition {part.to_text()} not in table")
 
     def to_text(self) -> str:
         lines = [f"{p.to_text()} {v}" for p, v in self.entries]
@@ -486,7 +490,10 @@ def two_approx_multicut_cover(net: TerminalNetwork, part: Partition
             continue
         out.update(closest_min_cut(net, block, rest))
     witness = tuple(sorted(out))
-    assert is_multiway_cut(net, part, witness)
+    if not is_multiway_cut(net, part, witness):
+        raise InternalError(
+            f"isolating-cut union {witness} is not a multiway cut "
+            f"for {part.to_text()}")
     return witness, len(witness)
 
 

@@ -4,6 +4,13 @@ Both forms reduce a candidate family to a subfamily that still extends every
 independent set the original family extended. The product form works on a
 layered matroid and tensors one column per layer; the general form works on
 s-subsets of a single represented matroid via s x s minor vectors.
+
+Each form maps its candidates to a list of vectors and keeps the greedy
+basis that ffield.select_independent_columns picks from that list, in
+family order. The kept set depends only on which vectors are in the span
+of earlier ones. In the general form the minors are taken over a row basis;
+any row basis serves, because changing it multiplies every minor vector by
+the same invertible matrix (the s-th compound of the change of basis).
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from .ffield import (
     PrimeField,
     PrimeFieldMatrix,
     kronecker_column,
-    row_basis,
     select_independent_columns,
 )
 from .matroids import LayeredMatroid, MatroidRep
@@ -79,22 +85,15 @@ def representative_set_product(matroid: LayeredMatroid, family: CandidateFamily,
     """
     if family.mode != "product":
         raise InputError("product-form selection needs a product-mode family")
-    layers = matroid.layers
-    field = layers[0].matrix.field
+    field = matroid.layers[0].matrix.field
     tensors: list[list[int]] = []
     for t in family.sets:
-        if len(t) != len(layers):
-            raise InputError(
-                f"tuple {t!r} has {len(t)} entries for {len(layers)} layers")
-        cols = [layer.column_of(x) for layer, x in zip(layers, t)]
+        cols = matroid.tuple_column(t)
         for x, col in zip(t, cols):
             if not any(col):
                 raise InputError(f"dependent tuple: {x!r} has a zero column")
         tensors.append(kronecker_column(field, cols, dim_limit))
-    if not tensors:
-        return family
-    stacked = _columns_matrix(field, tensors)
-    keep = select_independent_columns(stacked)
+    keep = select_independent_columns(field, tensors)
     bound = matroid.rank_product()
     if len(keep) > bound:
         raise InternalError(
@@ -109,7 +108,8 @@ def representative_set_general(matrix: PrimeFieldMatrix,
 
     Each candidate is mapped to the vector of its s x s minors, taken over
     row s-subsets of a row basis in lexicographic order, and a greedy
-    maximal independent set of those vectors is kept in input order. A
+    maximal independent set of those vectors is kept in input order. The
+    row basis is the greedy basis of the matrix rows. A
     survivor count above C(r+s, s), where r defaults to rank(matrix) - s,
     raises InternalError.
     """
@@ -120,36 +120,25 @@ def representative_set_general(matrix: PrimeFieldMatrix,
     if s > 3:
         raise RefusedError(f"minor computation limited to s <= 3, got s={s}")
     field = matrix.field
-    ground: dict[Any, int] = {}
-    basis = row_basis(matrix)
-    rho = basis.rows
+    all_rows = [matrix.row(i) for i in range(matrix.rows)]
+    basis = [all_rows[i] for i in select_independent_columns(field, all_rows)]
+    rho = len(basis)
     if r is None:
         r = max(rho - s, 0)
     if rho > r + s:
         raise InputError(f"rank {rho} exceeds r+s = {r + s}")
     if not family.sets:
         return family
-    cols_cache: dict[int, list[int]] = {}
-
-    def col(j: int) -> list[int]:
-        if j not in cols_cache:
-            cols_cache[j] = basis.column(j)
-        return cols_cache[j]
-
+    cols = [[row[j] for row in basis] for j in range(matrix.cols)]
     vectors: list[list[int]] = []
     row_sets = list(combinations(range(rho), s))
     for t in family.sets:
-        idxs = []
-        for x in t:
-            if x not in ground:
-                ground[x] = _locate_column(matrix, x)
-            idxs.append(ground[x])
-        vec = [_minor(field, [col(j) for j in idxs], rows) for rows in row_sets]
+        tcols = [cols[_locate_column(matrix, x)] for x in t]
+        vec = [_minor(field, tcols, rows) for rows in row_sets]
         if not any(vec):
             raise InputError(f"dependent candidate set {t!r}")
         vectors.append(vec)
-    stacked = _columns_matrix(field, vectors)
-    keep = select_independent_columns(stacked)
+    keep = select_independent_columns(field, vectors)
     bound = comb(r + s, s)
     if len(keep) > bound:
         raise InternalError(
@@ -162,17 +151,6 @@ def _locate_column(matrix: PrimeFieldMatrix, x: Any) -> int:
         raise InputError(
             f"general-mode elements are column indices; got {x!r}")
     return x
-
-
-def _columns_matrix(field: PrimeField, cols: list[list[int]]) -> PrimeFieldMatrix:
-    height = len(cols[0])
-    if any(len(c) != height for c in cols):
-        raise InputError("ragged candidate vectors")
-    m = PrimeFieldMatrix(field, height, len(cols))
-    for j, c in enumerate(cols):
-        for i, x in enumerate(c):
-            m.data[i * len(cols) + j] = x % field.p
-    return m
 
 
 def _minor(field: PrimeField, cols: list[list[int]],

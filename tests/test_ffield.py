@@ -1,5 +1,5 @@
-"""Prime field linear algebra: rank, column selection, Kronecker products,
-random matrices, prime generation.
+"""Prime field linear algebra: rank, greedy vector selection, Kronecker
+products, random matrices.
 """
 
 import random
@@ -15,9 +15,7 @@ from cutmimic.ffield import (
     kronecker_column,
     random_matrix,
     random_nonzero,
-    random_prime,
     rank,
-    row_basis,
     select_independent_columns,
     vandermonde,
 )
@@ -45,7 +43,7 @@ def test_rank_identity():
 
 
 def test_rank_zero_matrix():
-    assert rank(PrimeFieldMatrix.zeros(F, 2, 3)) == 0
+    assert rank(PrimeFieldMatrix(F, 2, 3)) == 0
 
 
 def test_rank_vandermonde():
@@ -63,38 +61,36 @@ def test_rank_transpose_and_shuffle_invariance():
         assert rank(PrimeFieldMatrix.from_rows(F7, rows)) == r
 
 
-def test_row_basis_spans():
-    m = PrimeFieldMatrix.from_rows(F7, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    rb = row_basis(m)
-    assert rb.rows == rank(m) == 2
+def columns(m):
+    return [m.column(j) for j in range(m.cols)]
 
 
 def test_select_independent_identity():
     m = PrimeFieldMatrix.identity(F, 3)
-    assert select_independent_columns(m) == [0, 1, 2]
+    assert select_independent_columns(F, columns(m)) == [0, 1, 2]
 
 
 def test_select_independent_drops_repeat():
-    m = PrimeFieldMatrix.from_rows(F, [[1, 1], [2, 2]])
-    assert select_independent_columns(m) == [0]
+    assert select_independent_columns(F, [[1, 2], [1, 2]]) == [0]
 
 
 def test_select_independent_general_position():
-    # four pairwise independent columns in a 2-dim space: first two kept
-    m = PrimeFieldMatrix.from_rows(F7, [[1, 1, 1, 1], [1, 2, 3, 4]])
-    assert select_independent_columns(m) == [0, 1]
+    # four pairwise independent vectors in a 2-dim space: first two kept
+    vectors = [[1, 1], [1, 2], [1, 3], [1, 4]]
+    assert select_independent_columns(F7, vectors) == [0, 1]
 
 
 def test_select_independent_respects_order():
-    m = PrimeFieldMatrix.from_rows(F7, [[1, 1, 1, 1], [1, 2, 3, 4]])
-    assert select_independent_columns(m, order=[3, 2, 1, 0]) == [3, 2]
+    # the list order is the scan order: reversed, the last two come first
+    vectors = [[1, 4], [1, 3], [1, 2], [1, 1]]
+    assert select_independent_columns(F7, vectors) == [0, 1]
 
 
 def test_select_independent_size_is_rank():
     rng = random.Random(4)
     for _ in range(25):
         m = random_matrix(rng, F7, rng.randint(1, 4), rng.randint(1, 6))
-        assert len(select_independent_columns(m)) == rank(m)
+        assert len(select_independent_columns(F7, columns(m))) == rank(m)
 
 
 def test_kronecker_unit_vectors():
@@ -156,16 +152,6 @@ def test_random_matrix_mean_near_half_p():
 def test_random_nonzero():
     rng = random.Random(3)
     assert all(0 < random_nonzero(rng, F7) < 7 for _ in range(50))
-
-
-def test_random_prime():
-    rng = random.Random(8)
-    p = random_prime(40, rng)
-    assert is_prime(p) and p.bit_length() == 40
-    with pytest.raises(InputError):
-        random_prime(31, rng)
-    with pytest.raises(InputError):
-        random_prime(63, rng)
 
 
 def test_is_prime_known_values():

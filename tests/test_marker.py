@@ -116,7 +116,8 @@ def test_layer_shape_on_path():
     assert len(layered.layers) == 5
     assert layered.ranks == (2, 2, 2, 4, 2)
     # three gammoid copies on 2m digraph nodes, then graphic and uniform on E
-    assert layered.total_columns() == 3 * 18 + 9 + 9
+    cols = sum(layer.matrix.cols for layer in layered.layers)
+    assert cols == 3 * 18 + 9 + 9
     assert [len(layer.ground) for layer in layered.layers] == [18, 18, 18, 9, 9]
 
 

@@ -21,7 +21,6 @@ from cutmimic.matroids import (
     graphic_rep,
     is_independent_by_flow,
     max_disjoint_paths,
-    relabel_ground,
     signed_incidence,
     uniform_rep,
 )
@@ -236,15 +235,8 @@ class TestAssembly:
         lm = LayeredMatroid((a, b))
         assert lm.ranks == (2, 2)
         assert lm.rank_product() == 4
-        assert lm.total_columns() == 5
+        assert sum(layer.matrix.cols for layer in lm.layers) == 5
         cols = lm.tuple_column((2, 3))
         assert cols[0] == a.column_of(2) and cols[1] == b.column_of(3)
         with pytest.raises(InputError):
             lm.tuple_column((1,))
-
-    def test_relabel_ground(self):
-        a = uniform_rep(F, [1, 2], 1)
-        out = relabel_ground(a, ["x", "y"])
-        assert out.ground == ("x", "y")
-        with pytest.raises(InputError):
-            relabel_ground(a, ["x"])

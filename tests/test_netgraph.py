@@ -19,7 +19,6 @@ from cutmimic.netgraph import (
     contract_vertex_set,
     degree2_reduce,
     delete_edges,
-    edges_between,
     format_network,
     format_requests,
     neighborhood,
@@ -69,12 +68,11 @@ def test_terminal_capacity_counts_multiplicity():
     assert terminal_capacity(net) == 4
 
 
-def test_boundary_and_edges_between():
+def test_boundary_counts_parallel_edges():
     p = path_network(2)  # 0 - 1 - 2
     assert boundary(p, {1}) == (1, 2)
     two = TerminalNetwork.build([1, 2], [(1, 1, 2), (2, 1, 2)], [1, 2])
     assert boundary(two, {1}) == (1, 2)  # parallel edges counted individually
-    assert edges_between(two, {1}, {2}) == (1, 2)
 
 
 def test_components_two_triangles():

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from cutmimic.errors import InputError, RefusedError
+from cutmimic.errors import InputError, InternalError, RefusedError
 from cutmimic.netgraph import (
     CutRequests,
     Partition,
@@ -136,6 +136,14 @@ def test_multiway_matches_naive_search():
 def test_multiway_partition_must_cover_terminals():
     with pytest.raises(InputError):
         min_multiway_cut(star3(), Partition.of((1, 2), [[1], [2]]))
+
+
+def test_multiway_bad_witness_raises_internal_error(monkeypatch):
+    # an explicit raise, so the check also holds under python -O
+    monkeypatch.setattr("cutmimic.oracles.is_multiway_cut", lambda *a: False)
+    part = Partition.of((1, 2, 3), [[1], [2, 3]])
+    with pytest.raises(InternalError, match=r"of value 2 is not a multiway"):
+        min_multiway_cut(triangle(), part)
 
 
 def test_multiway_refuses_above_edge_ceiling():
@@ -382,9 +390,6 @@ def test_table_canonical_order_and_values():
     assert texts == ["1,2,3", "1,2|3", "1,3|2", "1|2,3", "1|2|3"]
     assert [v for _, v in table.entries] == [0, 2, 2, 2, 3]
     assert table.to_text().endswith("\n")
-    assert table.value_of(Partition.of((1, 2, 3), [[1], [2], [3]])) == 3
-    with pytest.raises(InputError):
-        table.value_of(Partition.of((1, 2), [[1], [2]]))
 
 
 def test_table_rejects_nonzero_single_block():

@@ -9,8 +9,6 @@ outside Z is contracted. Sparse instances recurse on the sparse side. The
 trace records each step and can replay the run.
 """
 
-import random
-
 from cutmimic.marker import MarkParams, mark
 from cutmimic.netgraph import TerminalNetwork, format_network, terminal_capacity
 from cutmimic.oracles import cut_value_table, verify_mimicking

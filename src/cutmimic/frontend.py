@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InputError, InternalError, RefusedError
 from .ffield import PrimeField

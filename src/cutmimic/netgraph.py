@@ -27,7 +27,7 @@ Vertex ids are positive integers. Edge ids are assigned 1..m in file order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalError, TerminalContractionError
 
@@ -99,10 +99,10 @@ class TerminalNetwork:
         return adj
 
     def degree(self, v: int) -> int:
-        if v not in set(self.vertices):
+        d = sum((a == v) + (b == v) for _, a, b in self.edges)
+        if d == 0 and v not in self.vertices:  # every endpoint is a vertex
             raise InputError(f"unknown vertex id {v}")
-        return sum(1 for _, a, b in self.edges if a == v) + \
-            sum(1 for _, a, b in self.edges if b == v)
+        return d
 
     def is_terminal(self, v: int) -> bool:
         return v in self.terminals

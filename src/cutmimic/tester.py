@@ -2,8 +2,11 @@
 
 A verdict is either a concrete sparse vertex set, whose defining inequality
 cap_T(S)^c < |S| is re-checked on construction in exact integer arithmetic,
-or Dense. The exact tester earns its Dense verdicts by exhaustion; the
-heuristic tester's Dense verdicts carry no guarantee and say so.
+or Dense. The exact tester earns its Dense verdicts by a min-cut certificate
+or by exhaustion: kappa = min over nonempty S of cap_T(S) is one global min
+cut, and kappa^c >= floor(n/2) rules out every candidate before the 2^n
+walk starts. The heuristic tester's Dense verdicts carry no guarantee and
+say so.
 """
 
 from __future__ import annotations
@@ -63,12 +66,57 @@ def _validate_c(c: int) -> None:
         raise InputError(f"exponent c must be >= 1, got {c}")
 
 
+def _sink_min_cut(nbrs: list[dict[int, int]], deg: list[int],
+                  tflag: list[bool]) -> int:
+    """kappa = min over nonempty S of cap_T(S), for the multigraph whose
+    vertex i has neighbour multiplicities nbrs[i], degree deg[i] and
+    terminal flag tflag[i].
+
+    cap_T(S) is the cut of S in the network plus a sink joined to each
+    terminal t by deg(t) parallel edges, and every nonempty proper vertex
+    set of that graph has a side without the sink, so kappa is its global
+    min cut (Stoer & Wagner, "A simple min-cut algorithm", JACM 1997).
+    """
+    n = len(nbrs)
+    adj = [dict(nb) for nb in nbrs] + [{}]
+    for i in range(n):
+        if tflag[i]:
+            adj[i][n] = adj[n][i] = deg[i]
+    alive = list(range(n + 1))
+    best = sum(deg[i] for i in range(n) if tflag[i])  # S = V
+    while len(alive) > 1 and best:
+        # One phase: add vertices in maximum-adjacency order. The last one,
+        # t, against all the rest is a min cut between t and its predecessor
+        # s; merging t into s keeps every other cut.
+        key = dict.fromkeys(alive, 0)
+        s = t = alive[0]
+        while key:
+            s, t = t, max(key, key=key.__getitem__)
+            del key[t]
+            for j, w in adj[t].items():
+                if j in key:
+                    key[j] += w
+        best = min(best, sum(adj[t].values()))
+        for j, w in adj[t].items():
+            del adj[j][t]
+            if j != s:
+                adj[s][j] = adj[j][s] = adj[s].get(j, 0) + w
+        adj[t] = {}
+        alive.remove(t)
+    return best
+
+
 def exact_tester(net: TerminalNetwork, c: int,
                  ceiling: int = DEFAULT_EXACT_CEILING) -> TesterVerdict:
-    """Exhaustive tester: scans every nonempty S with |S| <= n/2 and
-    N[S] != V, and returns the witness minimizing cap_T(S)^c - |S| (ties:
+    """Exhaustive tester: among every nonempty S with |S| <= n/2 and
+    N[S] != V, returns the witness minimizing cap_T(S)^c - |S| (ties:
     smaller set, then lexicographically smaller) when any candidate has a
     negative objective; Dense otherwise. Refuses graphs above the ceiling.
+
+    Dense is earned by a certificate or by exhaustion. When kappa^c >=
+    floor(n/2), with kappa the least cap_T(S) over all nonempty S, every
+    candidate's objective is >= 0 and Dense is returned at once; otherwise
+    all 2^n subsets are scanned.
     """
     _validate_c(c)
     n = net.n
@@ -79,7 +127,8 @@ def exact_tester(net: TerminalNetwork, c: int,
         return TesterVerdict("dense")
     verts = net.vertices
     vidx = {v: i for i, v in enumerate(verts)}
-    tflag = [v in set(net.terminals) for v in verts]
+    tset = set(net.terminals)
+    tflag = [v in tset for v in verts]
     closed = [1 << i for i in range(n)]
     nbrs: list[dict[int, int]] = [dict() for _ in range(n)]  # index -> multiplicity
     for _, u, v in net.edges:
@@ -89,8 +138,22 @@ def exact_tester(net: TerminalNetwork, c: int,
         closed[ui] |= 1 << vi
         closed[vi] |= 1 << ui
     deg = [sum(nb.values()) for nb in nbrs]
-    full = (1 << n) - 1
+    if _sink_min_cut(nbrs, deg, tflag) ** c >= n // 2:
+        return TesterVerdict("dense")
+    best = _gray_code_walk(verts, c, nbrs, deg, tflag, closed)
+    if best is None or best[0] >= 0:
+        return TesterVerdict("dense")
+    return _sparse_verdict(net, c, best[2])
 
+
+def _gray_code_walk(verts: tuple[int, ...], c: int,
+                    nbrs: list[dict[int, int]], deg: list[int],
+                    tflag: list[bool], closed: list[int]
+                    ) -> tuple[int, int, tuple[int, ...]] | None:
+    """The least (cap_T(S)^c - |S|, |S|, S) over every candidate S of
+    exact_tester, or None when there is no candidate."""
+    n = len(verts)
+    full = (1 << n) - 1
     best: tuple[int, int, tuple[int, ...]] | None = None
     mask = 0
     size = 0
@@ -130,9 +193,7 @@ def exact_tester(net: TerminalNetwork, c: int,
                 tuple(verts[j] for j in range(n) if mask & (1 << j)))
         if best is None or cand < best:
             best = cand
-    if best is None or best[0] >= 0:
-        return TesterVerdict("dense")
-    return _sparse_verdict(net, c, best[2])
+    return best
 
 
 def heuristic_tester(net: TerminalNetwork, c: int) -> TesterVerdict:

@@ -12,7 +12,6 @@ from cutmimic.errors import FieldTooSmallError, InputError
 from cutmimic.ffield import MERSENNE61, PrimeField, PrimeFieldMatrix, rank
 from cutmimic.matroids import (
     LayeredMatroid,
-    MatroidRep,
     block_matrix,
     build_edge_cut_gammoid_digraph,
     disjoint_union,

@@ -63,6 +63,14 @@ def test_t_capacity_examples():
     assert t_capacity(p, {1, 2}) == 2
 
 
+def test_degree_counts_parallel_edges_and_rejects_unknown_vertex():
+    net = TerminalNetwork.build([1, 2, 3, 5], [(1, 1, 2), (2, 2, 1), (3, 2, 3)],
+                                [1])
+    assert [net.degree(v) for v in net.vertices] == [2, 3, 1, 0]
+    with pytest.raises(InputError):
+        net.degree(4)
+
+
 def test_terminal_capacity_counts_multiplicity():
     net = TerminalNetwork.build([1, 2], [(1, 1, 2), (2, 1, 2)], [1, 2])
     assert terminal_capacity(net) == 4

@@ -3,7 +3,6 @@ idempotence, and ingest validation.
 """
 
 import itertools
-import random
 
 import pytest
 

@@ -12,7 +12,7 @@ from cutmimic.errors import InputError, RefusedError
 from cutmimic.netgraph import TerminalNetwork, neighborhood, t_capacity
 from cutmimic.tester import DEFAULT_EXACT_CEILING, exact_tester, heuristic_tester
 
-from conftest import path_network, random_connected_network, triangle
+from conftest import path_network, random_connected_network
 
 
 def sparse_candidates(net, c):

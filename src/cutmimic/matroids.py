@@ -14,6 +14,15 @@ off its own pattern row. The pattern is drawn in the same order as a full
 reduction would draw it, the reduced form it stands for is unique, and the
 two are singular together, so the result matches the full reduction bit for
 bit, rng state and refusals included.
+
+The inner block is eliminated on packed rows: each row is one Python int
+holding one field entry per fixed-width slot, for n inner nodes
+8 * (ceil((2 bitlen(p) + bitlen(n)) / 8) + 1) bits wide. Updating a row
+below the pivot is then one big-int multiply-add and shift instead of a
+loop over its entries. A slot starts below p and gains less than p^2 per
+pivot, over at most n pivots, so it never carries into its neighbour: every
+entry stays exact mod p, and the solve returns the same B^-1 C as an
+elimination on lists of reduced entries.
 """
 
 from __future__ import annotations
@@ -41,17 +50,30 @@ class Digraph:
     __slots__ = ("nodes", "arcs", "_in")
 
     def __init__(self, nodes: Sequence[Node], arcs: Sequence[tuple[Node, Node]]):
+        """Nodes are kept sorted by repr, arcs (deduplicated) by the
+        positions of their tail and then their head in that node order.
+
+        That arc order is the order of the arcs' own reprs whenever
+        distinct nodes have distinct reprs and no node's repr is a proper
+        prefix of another's that continues with "," or a character below
+        it: only for such a pair can repr((u, v)) order two arcs against
+        the node order. int, str and tuple nodes (of these) have no such
+        pair, so for them the order is sorted(arcs, key=repr), without
+        building a repr per arc.
+        """
         self.nodes = tuple(sorted(set(nodes), key=repr))
-        node_set = set(self.nodes)
+        pos = {v: i for i, v in enumerate(self.nodes)}
         seen = set()
         for a in arcs:
             u, v = a
-            if u not in node_set or v not in node_set:
+            if u not in pos or v not in pos:
                 raise InputError(f"arc {a!r} references unknown node")
             if u == v:
                 raise InputError(f"self-arc {a!r} not allowed")
             seen.add((u, v))
-        self.arcs = tuple(sorted(seen, key=repr))
+        n = len(pos)
+        self.arcs = tuple(sorted(seen,
+                                 key=lambda a: pos[a[0]] * n + pos[a[1]]))
         ins: dict[Node, list[Node]] = {v: [] for v in self.nodes}
         for u, v in self.arcs:
             ins[v].append(u)
@@ -333,6 +355,10 @@ def gammoid_rep(field: PrimeField, rng: random.Random, dg: Digraph,
     off its pattern row. B is singular exactly when the inner block is, and
     A is unique, so this returns the same matrix, after the same draws, as
     a full reduction of the pattern would.
+
+    Each inner pattern row is built packed into one int, in the layout
+    `_solve_leading_block` takes: the entry of solve column j (inner
+    columns, then source columns) sits at bit j * _slot_bits(p, n).
     """
     src = set(sources)
     if not src <= set(dg.nodes):
@@ -346,26 +372,26 @@ def gammoid_rep(field: PrimeField, rng: random.Random, dg: Digraph,
     s = len(src_pos)
     inner_pos = {v: i for i, v in enumerate(u for u in non_src if u in tails)}
     n = len(inner_pos)
-    # Inner solve layout: inner columns first, then the source columns.
-    col_pos = dict(inner_pos)
-    col_pos.update((v, n + i) for v, i in src_pos.items())
+    bits = _slot_bits(p, n)
+    # Bit offset of each solve column: inner columns first, then sources.
+    shift = {v: i * bits for v, i in inner_pos.items()}
+    shift.update((v, (n + i) * bits) for v, i in src_pos.items())
 
     for _ in range(retries):
-        work: list[list[int]] = []
+        work: list[int] = []
         sink_rows: list[tuple[Node, int, list[tuple[Node, int]]]] = []
         for u in non_src:
             own = random_nonzero(rng, field)
             nbrs = [(w, random_nonzero(rng, field))
                     for w in dg.in_neighbors(u)]
             if u in inner_pos:
-                row = [0] * (n + s)
-                row[inner_pos[u]] = own
+                row = own << shift[u]
                 for w, x in nbrs:
-                    row[col_pos[w]] = x
+                    row |= x << shift[w]
                 work.append(row)
             else:
                 sink_rows.append((u, own, nbrs))
-        inner_a = _solve_leading_block(p, work, n)
+        inner_a = _solve_leading_block(p, work, n, s)
         if inner_a is None:
             continue
         a_rows = dict(zip(inner_pos, inner_a))
@@ -387,35 +413,62 @@ def gammoid_rep(field: PrimeField, rng: random.Random, dg: Digraph,
     raise RefusedError("transversal pattern kept losing rank; giving up")
 
 
-def _solve_leading_block(p: int, work: list[list[int]],
-                         n: int) -> list[list[int]] | None:
-    """Rows of B^-1 C for work = [B | C] with B its leading n x n block, by
-    forward elimination then back-substitution; None if B is singular.
-    Overwrites `work`.
+def _slot_bits(p: int, n: int) -> int:
+    """Bits per field entry in the packed rows of an n-pivot solve mod p:
+    whole bytes holding 2 bitlen(p) + bitlen(n) bits, plus one spare byte.
+    A slot starts below p and each of at most n eliminations adds less than
+    p^2 to it, so it stays below 2^(2 bitlen(p) + bitlen(n)) and never
+    carries into the next slot.
     """
+    return 8 * ((2 * p.bit_length() + n.bit_length() + 7) // 8 + 1)
+
+
+def _solve_leading_block(p: int, work: list[int], n: int,
+                         s: int) -> list[list[int]] | None:
+    """Rows of B^-1 C for [B | C] with B its leading n x n block and C
+    n x s, by forward elimination then back-substitution; None if B is
+    singular. Overwrites `work`.
+
+    Each row of [B | C] comes packed into one nonnegative int: column j in
+    the `bits = _slot_bits(p, n)` bits from j * bits, as a value congruent
+    to the entry mod p. Elimination step r keeps the rows at or below r
+    shifted so that column r sits in slot 0; a row's lead is read as
+    (row & mask) % p. Only the pivot row is unpacked. Its tail, scaled by
+    the lead's inverse and reduced, is repacked one slot up, and each lower
+    row with lead f becomes (row + (p - f) * tail) >> bits: one big-int
+    multiply-add per row, which adds (p - f) t < p^2 to each slot. No slot
+    carries (see `_slot_bits`), so every slot stays exact mod p and the
+    result equals that of an elimination on reduced lists.
+    """
+    bits = _slot_bits(p, n)
+    size = bits // 8
+    mask = (1 << bits) - 1
+    pivots: list[list[int]] = []
     for r in range(n):
-        piv = next((i for i in range(r, n) if work[i][r]), None)
+        piv = next((i for i in range(r, n) if (work[i] & mask) % p), None)
         if piv is None:
             return None
         work[r], work[piv] = work[piv], work[r]
-        row = work[r]
-        inv = pow(row[r], -1, p)
-        tail = [x * inv % p for x in row[r + 1:]]
-        row[r + 1:] = tail
+        width = (n + s - r) * size
+        raw = work[r].to_bytes(width, "little")
+        inv = pow(int.from_bytes(raw[:size], "little"), -1, p)
+        tail = [int.from_bytes(raw[k:k + size], "little") * inv % p
+                for k in range(size, width, size)]
+        pivots.append(tail)
+        up = int.from_bytes(b"".join(x.to_bytes(size, "little")
+                                     for x in tail), "little") << bits
         for i in range(r + 1, n):
-            f = work[i][r]
-            if f:
-                wi = work[i]
-                wi[r + 1:] = [(a - f * b) % p
-                              for a, b in zip(wi[r + 1:], tail)]
+            row = work[i]
+            f = (row & mask) % p
+            work[i] = (row + (p - f) * up) >> bits if f else row >> bits
+    # pivots[r] holds the reduced row r from column r + 1 on.
     out: list[list[int]] = [[]] * n
     for r in range(n - 1, -1, -1):
-        row = work[r]
-        acc = row[n:]
-        for j in range(r + 1, n):
-            f = row[j]
+        row = pivots[r]
+        acc = row[n - r - 1:]
+        for f, sol in zip(row, out[r + 1:]):
             if f:
-                acc = [a - f * b for a, b in zip(acc, out[j])]
+                acc = [a - f * b for a, b in zip(acc, sol)]
         out[r] = [a % p for a in acc]
     return out
 

@@ -6,6 +6,11 @@ dual [-A^T | I] off it. gammoid_rep eliminates only the block of non-source
 nodes with out-arcs and reads each sink's row of A off its pattern row.
 Both must return the same representation and leave the rng in the same
 state, or refuse alike, on every input and modulus.
+
+Two parts of that construction have references of their own: the packed
+leading-block solve is checked against an elimination on lists of reduced
+entries, and the Digraph arc order (which fixes the draw order) against
+sorting the arcs by repr.
 """
 
 import random
@@ -22,6 +27,8 @@ from cutmimic.ffield import (
 from cutmimic.matroids import (
     Digraph,
     MatroidRep,
+    _slot_bits,
+    _solve_leading_block,
     build_edge_cut_gammoid_digraph,
     gammoid_rep,
 )
@@ -141,3 +148,107 @@ def test_hand_built_digraphs_match_reference(name, p):
     dg, sources, ground = HAND_BUILT[name]
     for seed in range(25):
         assert_same(p, seed, dg, sources, ground)
+
+
+def test_arc_order_is_repr_order():
+    digraphs = [dg for dg, _, _ in HAND_BUILT.values()]
+    for seed in range(200):
+        rng = random.Random(seed)
+        net = random_connected_network(
+            rng, n_lo=2, n_hi=12, extra_lo=0, extra_hi=20,
+            n_terminals=rng.randint(1, 3))
+        digraphs.append(build_edge_cut_gammoid_digraph(net).digraph)
+    for dg in digraphs:
+        assert dg.arcs == tuple(sorted(dg.arcs, key=repr))
+
+
+def reference_solve_leading_block(p, work, n):
+    """B^-1 C for work = [B | C] as lists of reduced entries."""
+    for r in range(n):
+        piv = next((i for i in range(r, n) if work[i][r]), None)
+        if piv is None:
+            return None
+        work[r], work[piv] = work[piv], work[r]
+        row = work[r]
+        inv = pow(row[r], -1, p)
+        tail = [x * inv % p for x in row[r + 1:]]
+        row[r + 1:] = tail
+        for i in range(r + 1, n):
+            f = work[i][r]
+            if f:
+                wi = work[i]
+                wi[r + 1:] = [(a - f * b) % p
+                              for a, b in zip(wi[r + 1:], tail)]
+    out = [[]] * n
+    for r in range(n - 1, -1, -1):
+        row = work[r]
+        acc = row[n:]
+        for j in range(r + 1, n):
+            f = row[j]
+            if f:
+                acc = [a - f * b for a, b in zip(acc, out[j])]
+        out[r] = [a % p for a in acc]
+    return out
+
+
+def packed_solve(p, rows, n, s):
+    size = _slot_bits(p, n) // 8
+    work = [int.from_bytes(b"".join(x.to_bytes(size, "little") for x in row),
+                           "little") for row in rows]
+    return _solve_leading_block(p, work, n, s)
+
+
+def random_system(rng, p, n, s):
+    density = rng.choice((0.1, 0.3, 1.0))
+    rows = [[rng.randrange(p) if rng.random() < density else 0
+             for _ in range(n + s)] for _ in range(n)]
+    if n >= 2 and rng.random() < 0.25:
+        # a singular B: one row a multiple of another, or a zero column
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.5:
+            f = rng.randrange(p)
+            rows[i][:n] = [f * x % p for x in rows[j][:n]]
+        else:
+            for row in rows:
+                row[i] = 0
+    return rows
+
+
+@pytest.mark.parametrize("p", (3, 11, 101, MERSENNE61))
+def test_packed_solve_matches_list_solve(p):
+    rng = random.Random(p)
+    singular = 0
+    for _ in range(300):
+        n, s = rng.randint(0, 14), rng.randint(0, 6)  # n = 0, s = 0, s > n
+        rows = random_system(rng, p, n, s)
+        want = reference_solve_leading_block(p, [r[:] for r in rows], n)
+        assert packed_solve(p, rows, n, s) == want
+        singular += want is None
+    assert singular > 0
+
+
+@pytest.mark.parametrize("diag", (MERSENNE61 - 1, 1))
+def test_packed_solve_matches_list_solve_on_full_entries(diag):
+    # every entry p - 1 (singular), or p - 1 off a diagonal of ones
+    p, n, s = MERSENNE61, 120, 3
+    rows = [[diag if i == j else p - 1 for j in range(n + s)]
+            for i in range(n)]
+    want = reference_solve_leading_block(p, [r[:] for r in rows], n)
+    assert (want is None) == (diag == p - 1)
+    assert packed_solve(p, rows, n, s) == want
+
+
+@pytest.mark.parametrize("p, n", ((11, 700), (251, 300), (65521, 300),
+                                  (MERSENNE61, 150)))
+def test_packed_solve_at_the_slot_bound(p, n):
+    """B lower-triangular ones and C_r = -(r + 1): every pivot's reduced C
+    entries are p - 1 and every lower row's lead is 1, so each pivot adds
+    (p - 1)^2 to every C slot below it, the most a slot can gain. The last
+    row ends near n p^2: at p = 11, 251 and 65521 that overflows slots
+    sized without the bitlen(n) term (16, 24 and 40 bits). The unique
+    solution is A = -1 everywhere.
+    """
+    s = 2
+    rows = [[1] * (r + 1) + [0] * (n - r - 1) + [-(r + 1) % p] * s
+            for r in range(n)]
+    assert packed_solve(p, rows, n, s) == [[p - 1] * s] * n

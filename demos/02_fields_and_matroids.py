@@ -9,16 +9,22 @@ checks each against a first-principles notion of independence.
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from cutmimic.ffield import MERSENNE61, PrimeField, rank
 from cutmimic.matroids import (
     build_edge_cut_gammoid_digraph,
-    edge_cut_gammoid,
+    gammoid_rep,
     graphic_rep,
-    is_independent_by_flow,
     uniform_rep,
 )
 from cutmimic.netgraph import TerminalNetwork
+
+# The disjoint-path flow oracle is reference code from the test suite, not
+# part of the library: it is the independent check the gammoid is held to.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference import is_independent_by_flow  # noqa: E402
 
 F = PrimeField(MERSENNE61)
 print("field: integers mod", F.p)
@@ -48,7 +54,7 @@ print("  tree  {1,2,4} rank:", rank(g.matrix.submatrix_columns(tree)))
 # edge-cut gammoid: independence encodes edge-disjoint linkages from the
 # terminal-incident edges, checked against a direct flow computation
 inst = build_edge_cut_gammoid_digraph(net)
-rep = edge_cut_gammoid(F, random.Random(7), net)
+rep = gammoid_rep(F, random.Random(7), inst.digraph, inst.sources, inst.ground)
 print()
 print("edge-cut gammoid ground has", len(rep.ground), "elements "
       "(each edge and its sink-only copy)")

@@ -6,15 +6,17 @@
 # tuple extends it too. The marking stage relies on exactly that guarantee.
 
 import itertools
+import sys
+from pathlib import Path
 
 from cutmimic.ffield import MERSENNE61, PrimeField
-from cutmimic.matroids import LayeredMatroid, disjoint_union, uniform_rep
-from cutmimic.repset import (
-    CandidateFamily,
-    extends,
-    representative_set_general,
-    representative_set_product,
-)
+from cutmimic.matroids import LayeredMatroid, uniform_rep
+from cutmimic.repset import CandidateFamily, representative_set_product
+
+# The general form is reference code from the test suite, not part of the
+# library: the marking stage runs the product form only.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference import representative_set_general  # noqa: E402
 
 F = PrimeField(MERSENNE61)
 
@@ -30,13 +32,18 @@ print("family size:", len(family))
 print("rank product bound:", lm.rank_product())
 print("survivors:", len(kept), "->", list(kept.sets))
 
-# spot-check the extension property for one base per layer
-union = disjoint_union(F, [a, b])
-base = [(0, "a3"), (1, "b4")]
-could = [t for t in family.sets
-         if extends(union, base, [(0, t[0]), (1, t[1])])]
-still = [t for t in kept.sets
-         if extends(union, base, [(0, t[0]), (1, t[1])])]
+# spot-check the extension property for one base per layer: in the direct
+# sum, a tuple extends the base when every layer stays independent with it
+base = (["a3"], ["b4"])
+
+
+def extends_base(t):
+    return all(layer.is_independent([*xs, x])
+               for layer, xs, x in zip(lm.layers, base, t))
+
+
+could = [t for t in family.sets if extends_base(t)]
+still = [t for t in kept.sets if extends_base(t)]
 print()
 print(f"tuples extending base {{a3}},{{b4}}: {len(could)} originally, "
       f"{len(still)} among survivors")

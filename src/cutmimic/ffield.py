@@ -225,13 +225,6 @@ def kronecker_column(field: PrimeField, vectors: Sequence[Sequence[int]],
     return acc
 
 
-def random_matrix(rng: random.Random, field: PrimeField,
-                  rows: int, cols: int) -> PrimeFieldMatrix:
-    """Entries uniform over [0, p)."""
-    data = [rng.randrange(field.p) for _ in range(rows * cols)]
-    return PrimeFieldMatrix(field, rows, cols, data)
-
-
 def random_nonzero(rng: random.Random, field: PrimeField) -> int:
     return rng.randrange(1, field.p)
 

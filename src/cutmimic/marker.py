@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Sequence
 
 from .errors import InputError, InternalError, MarkingRefusedError
 from .ffield import PrimeField
@@ -21,13 +20,7 @@ from .matroids import (
     graphic_rep,
     uniform_rep,
 )
-from .netgraph import (
-    TerminalNetwork,
-    components,
-    delete_edges,
-    t_capacity,
-    terminal_capacity,
-)
+from .netgraph import TerminalNetwork, terminal_capacity
 from .repset import CandidateFamily, representative_set_product
 
 DEFAULT_I0 = 4
@@ -158,24 +151,3 @@ def mark(net: TerminalNetwork, params: MarkParams) -> MarkResult:
         raise InternalError(
             f"{len(survivors)} survivors exceed the loose bound {loose}")
     return MarkResult(marked, layered.ranks, dim, params.seed)
-
-
-def covering_condition_holds(net: TerminalNetwork, X: Sequence[int],
-                             i0: int, c: int,
-                             bound_override: int | None = None) -> bool:
-    """Components of G - X sorted by non-increasing cap_T (measured in G;
-    ties: larger component first, then smaller least vertex): true iff the
-    union of components from position i0 onward has at most k^(c-i0)
-    vertices. bound_override substitutes for k^(c-i0) when the graphic
-    layer actually ran at a clamped rank.
-    """
-    if i0 < 2 or c < i0:
-        raise InputError("need 2 <= i0 <= c")
-    k = terminal_capacity(net)
-    bound = k ** (c - i0) if bound_override is None else bound_override
-    remaining = delete_edges(net, X)
-    comps = components(remaining)
-    keyed = sorted(
-        comps, key=lambda comp: (-t_capacity(net, set(comp)), -len(comp), comp[0]))
-    tail = sum(len(comp) for comp in keyed[i0 - 1:])
-    return tail <= bound

@@ -3,7 +3,10 @@
 Three families feed the marking stage: gammoids on an edge-adjacency digraph
 (via the dual-of-transversal construction), truncated graphic matroids, and
 uniform matroids. A layered matroid stacks several representations over the
-same ground set so that one column tuple can be read off per element.
+same ground set so that one column tuple can be read off per element. The
+checks these constructions are tested against (gammoid independence by
+vertex-disjoint paths, the direct sum as one block matrix) are reference
+code in the test suite.
 
 The gammoid is the costly layer. Its transversal pattern is block
 lower-triangular: a node without out-arcs (every sink-only copy ("zp", e)
@@ -158,35 +161,6 @@ class LayeredMatroid:
         return [layer.column_of(x) for layer, x in zip(self.layers, t)]
 
 
-def block_matrix(field: PrimeField,
-                 blocks: Sequence[PrimeFieldMatrix]) -> PrimeFieldMatrix:
-    """Block-diagonal stack."""
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = PrimeFieldMatrix(field, rows, cols)
-    r0 = c0 = 0
-    for b in blocks:
-        if b.field.p != field.p:
-            raise InputError("mixed moduli in block matrix")
-        for i in range(b.rows):
-            base = (r0 + i) * cols + c0
-            out.data[base:base + b.cols] = b.row(i)
-        r0 += b.rows
-        c0 += b.cols
-    return out
-
-
-def disjoint_union(field: PrimeField, reps: Sequence[MatroidRep]) -> MatroidRep:
-    """Direct sum as a single representation; ground elements are tagged
-    with their layer index to keep copies distinct.
-    """
-    if not reps:
-        raise InputError("disjoint union needs at least one layer")
-    mat = block_matrix(field, [r.matrix for r in reps])
-    ground = tuple((i, x) for i, r in enumerate(reps) for x in r.ground)
-    return MatroidRep(mat, ground, sum(r.rank for r in reps))
-
-
 def signed_incidence(field: PrimeField, net: TerminalNetwork) -> PrimeFieldMatrix:
     """|V| x |E| incidence, +1 at the lower-numbered endpoint. Rows follow
     sorted vertex order, columns follow edge id order.
@@ -276,63 +250,6 @@ def build_edge_cut_gammoid_digraph(net: TerminalNetwork) -> GammoidInstance:
     sources = tuple(("z", e) for e, u, v in net.edges
                     if u in tset or v in tset)
     return GammoidInstance(Digraph(nodes, tuple(arcs)), sources, tuple(nodes))
-
-
-def max_disjoint_paths(dg: Digraph, sources: Sequence[Node],
-                       targets: Sequence[Node]) -> int:
-    """Maximum number of vertex-disjoint paths from `sources` to `targets`
-    (unit node capacities, sources and targets included). Zero-length paths
-    count when a source is itself a target.
-    """
-    SRC, SNK = ("#src",), ("#snk",)
-    cap: dict[Node, dict[Node, int]] = {}
-
-    def add(u: Node, v: Node, c: int) -> None:
-        cap.setdefault(u, {})[v] = cap.get(u, {}).get(v, 0) + c
-        cap.setdefault(v, {}).setdefault(u, 0)
-
-    for v in dg.nodes:
-        add(("i", v), ("o", v), 1)
-    for u, v in dg.arcs:
-        add(("o", u), ("i", v), 1)
-    for s in set(sources):
-        add(SRC, ("i", s), 1)
-    for t in set(targets):
-        add(("o", t), SNK, 1)
-    if SRC not in cap or SNK not in cap:
-        return 0
-
-    flow = 0
-    while True:
-        parent: dict[Node, Node] = {SRC: SRC}
-        queue = [SRC]
-        while queue and SNK not in parent:
-            nxt: list[Node] = []
-            for u in queue:
-                for v, c in cap[u].items():
-                    if c > 0 and v not in parent:
-                        parent[v] = u
-                        nxt.append(v)
-            queue = nxt
-        if SNK not in parent:
-            return flow
-        v = SNK
-        while v != SRC:
-            u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] += 1
-            v = u
-        flow += 1
-
-
-def is_independent_by_flow(dg: Digraph, sources: Sequence[Node],
-                           subset: Sequence[Node]) -> bool:
-    """Gammoid independence checked directly: the subset is independent iff
-    it can be fully linked to the sources by vertex-disjoint paths.
-    """
-    if len(set(subset)) != len(subset):
-        return False
-    return max_disjoint_paths(dg, sources, subset) == len(subset)
 
 
 def gammoid_rep(field: PrimeField, rng: random.Random, dg: Digraph,
@@ -471,13 +388,3 @@ def _solve_leading_block(p: int, work: list[int], n: int,
                 acc = [a - f * b for a, b in zip(acc, sol)]
         out[r] = [a % p for a in acc]
     return out
-
-
-def edge_cut_gammoid(field: PrimeField, rng: random.Random,
-                     net: TerminalNetwork) -> MatroidRep:
-    """Gammoid layer for a network: strict gammoid of the edge-adjacency
-    digraph linked to the terminal-incident edges, over the full node set.
-    Edge e enters candidate tuples through its sink-only copy ("zp", e).
-    """
-    inst = build_edge_cut_gammoid_digraph(net)
-    return gammoid_rep(field, rng, inst.digraph, inst.sources, inst.ground)

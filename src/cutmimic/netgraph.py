@@ -186,12 +186,12 @@ def components(net: TerminalNetwork, removed: Iterable[int] = ()
 
 
 def recursive_instance(net: TerminalNetwork, S: Iterable[int]
-                       ) -> tuple[TerminalNetwork, dict[int, int]]:
+                       ) -> TerminalNetwork:
     """Sub-network G_S induced by N[S] minus the edges inside N(S).
 
-    Keeps every edge with at least one endpoint in S, under its original id.
-    The terminal set of G_S is (T intersect S) union N(S). Returns the network
-    and the edge-id embedding into the parent (identity mapping).
+    Keeps every edge with at least one endpoint in S, under its original id,
+    so its edge ids index the parent's edges directly. The terminal set of
+    G_S is (T intersect S) union N(S).
     """
     sset = _vertex_subset(net, S)
     if not sset:
@@ -207,7 +207,7 @@ def recursive_instance(net: TerminalNetwork, S: Iterable[int]
     if cap != want:
         raise InternalError(
             f"recursive instance capacity {cap} differs from cap_T(S) {want}")
-    return sub, {eid: eid for eid, _, _ in kept}
+    return sub
 
 
 def contract_edge(net: TerminalNetwork, eid: int) -> TerminalNetwork:
@@ -258,21 +258,6 @@ def contract_vertex_set(net: TerminalNetwork, S: Iterable[int], onto: int) -> Te
         new_edges.append((e, a2, b2))
     verts = [w for w in net.vertices if w not in sset or w == onto]
     return TerminalNetwork.build(verts, new_edges, net.terminals)
-
-
-def delete_edges(net: TerminalNetwork, eids: Iterable[int]) -> TerminalNetwork:
-    """Remove the given edges; all vertices stay, including newly isolated
-    ones, so component counts reflect the deletion.
-    """
-    drop = set(int(e) for e in eids)
-    known = set(e[0] for e in net.edges)
-    missing = drop - known
-    if missing:
-        raise InputError(f"unknown edge ids {sorted(missing)}")
-    return TerminalNetwork(
-        net.vertices,
-        tuple(e for e in net.edges if e[0] not in drop),
-        net.terminals)
 
 
 # -- local reduction rules -------------------------------------------------

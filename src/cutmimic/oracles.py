@@ -5,8 +5,9 @@ any size this package handles; partition counts and branch-and-bound searches
 are guarded by explicit ceilings and refuse rather than grind.
 
 Essentiality is decided by re-solving with the edge made undeletable
-(infinite capacity) and comparing values, never by enumerating witnesses;
-a tiny enumerator is kept for cross-checks in the test suite.
+(infinite capacity) and comparing values, never by enumerating witnesses.
+The witness enumerator and the isolating-cut 2-approximation that the tests
+check these solvers against are reference code in the test suite.
 """
 
 from __future__ import annotations
@@ -132,8 +133,9 @@ def _check_partition(net: TerminalNetwork, part: Partition) -> None:
 
 def is_multiway_cut(net: TerminalNetwork, part: Partition,
                     X: Iterable[int]) -> bool:
+    tset = set(net.terminals)
     for comp in components(net, X):
-        blocks_met = {part.block_of(t) for t in comp if t in set(net.terminals)}
+        blocks_met = {part.block_of(t) for t in comp if t in tset}
         if len(blocks_met) > 1:
             return False
     return True
@@ -193,11 +195,12 @@ def _walk_up(parent: dict[int, tuple[int, int]], v: int) -> list[int]:
 
 def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
                       pair_list: Sequence[tuple[int, int]],
-                      forbidden: frozenset[int],
-                      max_edges: int) -> tuple[int, tuple[int, ...] | None]:
+                      forbidden: frozenset[int]
+                      ) -> tuple[int, tuple[int, ...] | None]:
     """Minimum edge set X (disjoint from `forbidden`) whose removal puts
     every listed group-index pair in different components. Iterative
-    deepening with path branching. Returns (INF, None) when impossible.
+    deepening with path branching, refused above BB_EDGE_CEILING edges.
+    Returns (INF, None) when impossible.
     """
     if not pair_list:
         return 0, ()
@@ -229,9 +232,9 @@ def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
                     break
         return best
 
-    if net.m > max_edges:
+    if net.m > BB_EDGE_CEILING:
         raise RefusedError(
-            f"{net.m} edges exceeds search ceiling {max_edges}")
+            f"{net.m} edges exceeds search ceiling {BB_EDGE_CEILING}")
 
     deletable = sum(1 for e in net.edge_ids() if e not in forbidden)
     for budget in range(lb, deletable + 1):
@@ -262,8 +265,8 @@ def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
 
 
 def _solve_multiway(net: TerminalNetwork, part: Partition,
-                    forbidden: frozenset[int],
-                    max_edges: int) -> tuple[int, tuple[int, ...] | None]:
+                    forbidden: frozenset[int]
+                    ) -> tuple[int, tuple[int, ...] | None]:
     blocks = part.blocks
     if len(blocks) <= 1:
         return 0, ()
@@ -275,18 +278,17 @@ def _solve_multiway(net: TerminalNetwork, part: Partition,
         return value, boundary(net, reach)
     pair_list = [(i, j) for i in range(len(blocks))
                  for j in range(i + 1, len(blocks))]
-    return _solve_separation(net, blocks, pair_list, forbidden, max_edges)
+    return _solve_separation(net, blocks, pair_list, forbidden)
 
 
-def min_multiway_cut(net: TerminalNetwork, part: Partition,
-                     max_edges: int = BB_EDGE_CEILING
+def min_multiway_cut(net: TerminalNetwork, part: Partition
                      ) -> tuple[int, tuple[int, ...]]:
     """Minimum edge multiway cut for a partition of the terminals, with a
     witness. Two-block partitions go through max flow; larger ones through
     iterative-deepening search (refused above the edge ceiling).
     """
     _check_partition(net, part)
-    value, witness = _solve_multiway(net, part, frozenset(), max_edges)
+    value, witness = _solve_multiway(net, part, frozenset())
     if value >= INF // 2 or witness is None:
         raise InternalError(f"no finite multiway cut for {part.to_text()}")
     if not is_multiway_cut(net, part, witness):
@@ -296,8 +298,7 @@ def min_multiway_cut(net: TerminalNetwork, part: Partition,
     return value, witness
 
 
-def min_multicut(net: TerminalNetwork, requests: CutRequests,
-                 max_edges: int = BB_EDGE_CEILING
+def min_multicut(net: TerminalNetwork, requests: CutRequests
                  ) -> tuple[int, tuple[int, ...]]:
     """Minimum edge multicut for terminal pair requests, with a witness."""
     pairs = requests.pairs
@@ -313,8 +314,7 @@ def min_multicut(net: TerminalNetwork, requests: CutRequests,
         index[v] = len(groups)
         groups.append((v,))
     pair_list = [(index[u], index[v]) for u, v in pairs]
-    value, witness = _solve_separation(net, groups, pair_list,
-                                       frozenset(), max_edges)
+    value, witness = _solve_separation(net, groups, pair_list, frozenset())
     if value >= INF // 2 or witness is None:
         raise InternalError(f"no finite multicut for {len(pairs)} requests")
     if not is_multicut(net, requests, witness):
@@ -333,9 +333,7 @@ def _check_terminal_count(net: TerminalNetwork) -> None:
             f"(ceiling {MAX_ORACLE_TERMINALS})")
 
 
-def essential_edges(net: TerminalNetwork,
-                    max_edges: int = BB_EDGE_CEILING
-                    ) -> dict[Partition, tuple[int, ...]]:
+def essential_edges(net: TerminalNetwork) -> dict[Partition, tuple[int, ...]]:
     """Per partition, the edges present in every minimum multiway cut.
 
     An edge is essential iff making it undeletable (infinite capacity)
@@ -344,36 +342,21 @@ def essential_edges(net: TerminalNetwork,
     _check_terminal_count(net)
     out: dict[Partition, tuple[int, ...]] = {}
     for part in all_partitions(net.terminals):
-        base, _ = _solve_multiway(net, part, frozenset(), max_edges)
+        base, _ = _solve_multiway(net, part, frozenset())
         ess: list[int] = []
         if base > 0:
             for e in net.edge_ids():
-                forced, _ = _solve_multiway(net, part, frozenset([e]),
-                                            max_edges)
+                forced, _ = _solve_multiway(net, part, frozenset([e]))
                 if forced > base:
                     ess.append(e)
         out[part] = tuple(ess)
     return out
 
 
-def essential_for_network(net: TerminalNetwork,
-                          max_edges: int = BB_EDGE_CEILING) -> tuple[int, ...]:
+def essential_for_network(net: TerminalNetwork) -> tuple[int, ...]:
     """Union of the per-partition essential edge sets."""
-    per = essential_edges(net, max_edges)
+    per = essential_edges(net)
     return tuple(sorted({e for edges in per.values() for e in edges}))
-
-
-def enumerate_minimum_multiway_cuts(net: TerminalNetwork, part: Partition,
-                                    limit: int = 2_000_000
-                                    ) -> tuple[tuple[int, ...], ...]:
-    """All minimum witnesses, by direct subset search; cross-check use only."""
-    value, _ = min_multiway_cut(net, part)
-    from math import comb
-    if comb(net.m, value) > limit:
-        raise RefusedError("witness enumeration would be too large")
-    eids = net.edge_ids()
-    return tuple(X for X in combinations(eids, value)
-                 if is_multiway_cut(net, part, X))
 
 
 # -- cut value tables and mimicking verification -----------------------------
@@ -381,11 +364,10 @@ def enumerate_minimum_multiway_cuts(net: TerminalNetwork, part: Partition,
 @dataclass(frozen=True)
 class CutValueTable:
     """Minimum multiway cut value per partition of the terminal set, in
-    canonical order (block count, then text form), with witnesses.
+    canonical order (block count, then text form).
     """
 
     entries: tuple[tuple[Partition, int], ...]
-    witnesses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         for part, value in self.entries:
@@ -397,16 +379,12 @@ class CutValueTable:
         return "\n".join(lines) + "\n"
 
 
-def cut_value_table(net: TerminalNetwork,
-                    max_edges: int = BB_EDGE_CEILING) -> CutValueTable:
+def cut_value_table(net: TerminalNetwork) -> CutValueTable:
     _check_terminal_count(net)
-    rows = []
-    for part in all_partitions(net.terminals):
-        value, witness = min_multiway_cut(net, part, max_edges)
-        rows.append((part, value, witness))
+    rows = [(part, min_multiway_cut(net, part)[0])
+            for part in all_partitions(net.terminals)]
     rows.sort(key=lambda r: (len(r[0].blocks), r[0].to_text()))
-    return CutValueTable(tuple((p, v) for p, v, _ in rows),
-                         tuple(w for _, _, w in rows))
+    return CutValueTable(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -417,8 +395,7 @@ class VerifyReport:
 
 
 def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
-                     spot_checks: int = 100, seed: int = 0,
-                     max_edges: int = BB_EDGE_CEILING) -> VerifyReport:
+                     spot_checks: int = 100, seed: int = 0) -> VerifyReport:
     """Partition-table equality between two networks on the same terminal
     set, plus randomized multicut spot checks (redundant with the table by
     the partition correspondence; kept as an independent route).
@@ -428,8 +405,8 @@ def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
     _check_terminal_count(net)
     for part in sorted(all_partitions(net.terminals),
                        key=lambda p: (len(p.blocks), p.to_text())):
-        v1, _ = min_multiway_cut(net, part, max_edges)
-        v2, _ = min_multiway_cut(other, part, max_edges)
+        v1, _ = min_multiway_cut(net, part)
+        v2, _ = min_multiway_cut(other, part)
         if v1 != v2:
             return VerifyReport(
                 False, f"partition {part.to_text()}: {v1} vs {v2}", part)
@@ -444,8 +421,8 @@ def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
         if not chosen:
             continue
         req = CutRequests.of(terms, chosen)
-        v1, _ = min_multicut(net, req, max_edges)
-        v2, _ = min_multicut(other, req, max_edges)
+        v1, _ = min_multicut(net, req)
+        v2, _ = min_multicut(other, req)
         if v1 != v2:
             text = " ".join(f"{a}-{b}" for a, b in chosen)
             return VerifyReport(False, f"requests {text}: {v1} vs {v2}")
@@ -472,41 +449,3 @@ def cut_covering_set(net: TerminalNetwork) -> tuple[int, ...]:
                 continue
             out.update(closest_min_cut(net, A, B))
     return tuple(sorted(out))
-
-
-def two_approx_multicut_cover(net: TerminalNetwork, part: Partition
-                              ) -> tuple[tuple[int, ...], int]:
-    """Union of per-block isolating closest cuts; a multiway cut for the
-    partition whose size the half-integral multiflow bound keeps within
-    twice the optimum (the inequality is asserted by the test suite, the
-    multiflow is never constructed).
-    """
-    _check_partition(net, part)
-    tset = set(net.terminals)
-    out: set[int] = set()
-    for block in part.blocks:
-        rest = tset - set(block)
-        if not rest:
-            continue
-        out.update(closest_min_cut(net, block, rest))
-    witness = tuple(sorted(out))
-    if not is_multiway_cut(net, part, witness):
-        raise InternalError(
-            f"isolating-cut union {witness} is not a multiway cut "
-            f"for {part.to_text()}")
-    return witness, len(witness)
-
-
-def isolating_cut_values(net: TerminalNetwork, part: Partition) -> tuple[int, ...]:
-    """The per-block isolating min-cut values, for the sum inequality."""
-    _check_partition(net, part)
-    tset = set(net.terminals)
-    vals = []
-    for block in part.blocks:
-        rest = tset - set(block)
-        if not rest:
-            vals.append(0)
-            continue
-        value, _ = _edge_flow(net, block, rest)
-        vals.append(value)
-    return tuple(vals)

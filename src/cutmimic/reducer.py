@@ -86,28 +86,17 @@ class ReduceParams:
             raise InputError("threshold must be at least 1")
         if self.max_depth < 0:
             raise InputError("max_depth must be nonnegative")
-
-
-def multicut_covering_set(net: TerminalNetwork, params: ReduceParams
-                          ) -> tuple[tuple[int, ...], ReductionTrace]:
-    """Covering edge set: every request set over T has a minimum multicut
-    inside it. The ids index edges of the input network.
-    """
-    final, events = _reduce_to_network(net, params)
-    return final.edge_ids(), ReductionTrace(tuple(events))
+        if self.exact_ceiling < 0:
+            raise InputError("exact_ceiling must be nonnegative")
 
 
 def mimicking_network(net: TerminalNetwork, params: ReduceParams
                       ) -> tuple[TerminalNetwork, ReductionTrace]:
     """The input with every non-covering edge contracted away; terminal set
-    and all partition cut values are unchanged.
+    and all partition cut values are unchanged. Its edge ids, a subset of
+    the input's, form a multicut-covering set: every request set over T has
+    a minimum multicut inside it.
     """
-    final, events = _reduce_to_network(net, params)
-    return final, ReductionTrace(tuple(events))
-
-
-def _reduce_to_network(net: TerminalNetwork, params: ReduceParams
-                       ) -> tuple[TerminalNetwork, list[Event]]:
     if not net.terminals:
         raise InputError("reduction needs a nonempty terminal set")
     k = terminal_capacity(net)
@@ -118,7 +107,8 @@ def _reduce_to_network(net: TerminalNetwork, params: ReduceParams
         raise InputError(f"c ={c} below i0 ={params.mark.i0}")
     mark_base = replace(params.mark, c=c)
     rng = random.Random(params.mark.seed)
-    return _reduce(net, params, mark_base, c, rng, depth=0)
+    final, events = _reduce(net, params, mark_base, c, rng, depth=0)
+    return final, ReductionTrace(tuple(events))
 
 
 def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
@@ -149,7 +139,7 @@ def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
             if depth >= params.max_depth:
                 events.append(Stop("saturated"))
                 return work, events
-            sub, _ = recursive_instance(work, verdict.witness)
+            sub = recursive_instance(work, verdict.witness)
             events.append(Recurse(verdict.witness, depth + 1))
             sub_final, _sub_events = _reduce(sub, params, mark_base, c, rng,
                                              depth + 1)

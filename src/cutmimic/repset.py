@@ -1,33 +1,25 @@
-"""Representative-set selection for linear matroids.
+"""Product-form representative-set selection for layered linear matroids.
 
-Both forms reduce a candidate family to a subfamily that still extends every
-independent set the original family extended. The product form works on a
-layered matroid and tensors one column per layer; the general form works on
-s-subsets of a single represented matroid via s x s minor vectors.
+The selection reduces a candidate family to a subfamily that still extends
+every independent set the original family extended. It tensors one column
+per layer for each candidate and keeps the greedy basis that
+ffield.select_independent_columns picks from those tensors, in family
+order, so the kept set depends only on which tensors are in the span of
+earlier ones.
 
-Each form maps its candidates to a list of vectors and keeps the greedy
-basis that ffield.select_independent_columns picks from that list, in
-family order. The kept set depends only on which vectors are in the span
-of earlier ones. In the general form the minors are taken over a row basis;
-any row basis serves, because changing it multiplies every minor vector by
-the same invertible matrix (the s-th compound of the change of basis).
+CandidateFamily also validates general-mode families (s-subsets of one
+ground set); the general form that reads them is reference code in the
+test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from typing import Any, Sequence
 
-from .errors import InputError, InternalError, RefusedError
-from .ffield import (
-    PrimeField,
-    PrimeFieldMatrix,
-    kronecker_column,
-    select_independent_columns,
-)
-from .matroids import LayeredMatroid, MatroidRep
+from .errors import InputError, InternalError
+from .ffield import kronecker_column, select_independent_columns
+from .matroids import LayeredMatroid
 
 DEFAULT_TENSOR_LIMIT = 4096
 
@@ -99,79 +91,3 @@ def representative_set_product(matroid: LayeredMatroid, family: CandidateFamily,
         raise InternalError(
             f"{len(keep)} survivors exceed the rank product {bound}")
     return family.subfamily(keep)
-
-
-def representative_set_general(matrix: PrimeFieldMatrix,
-                               family: CandidateFamily,
-                               r: int | None = None) -> CandidateFamily:
-    """General-form selection for s-subset families, s <= 3.
-
-    Each candidate is mapped to the vector of its s x s minors, taken over
-    row s-subsets of a row basis in lexicographic order, and a greedy
-    maximal independent set of those vectors is kept in input order. The
-    row basis is the greedy basis of the matrix rows. A
-    survivor count above C(r+s, s), where r defaults to rank(matrix) - s,
-    raises InternalError.
-    """
-    if family.mode != "general":
-        raise InputError("general-form selection needs a general-mode family")
-    s = family.s
-    assert s is not None
-    if s > 3:
-        raise RefusedError(f"minor computation limited to s <= 3, got s={s}")
-    field = matrix.field
-    all_rows = [matrix.row(i) for i in range(matrix.rows)]
-    basis = [all_rows[i] for i in select_independent_columns(field, all_rows)]
-    rho = len(basis)
-    if r is None:
-        r = max(rho - s, 0)
-    if rho > r + s:
-        raise InputError(f"rank {rho} exceeds r+s = {r + s}")
-    if not family.sets:
-        return family
-    cols = [[row[j] for row in basis] for j in range(matrix.cols)]
-    vectors: list[list[int]] = []
-    row_sets = list(combinations(range(rho), s))
-    for t in family.sets:
-        tcols = [cols[_locate_column(matrix, x)] for x in t]
-        vec = [_minor(field, tcols, rows) for rows in row_sets]
-        if not any(vec):
-            raise InputError(f"dependent candidate set {t!r}")
-        vectors.append(vec)
-    keep = select_independent_columns(field, vectors)
-    bound = comb(r + s, s)
-    if len(keep) > bound:
-        raise InternalError(
-            f"{len(keep)} survivors exceed C(r+s, s) = {bound}")
-    return family.subfamily(keep)
-
-
-def _locate_column(matrix: PrimeFieldMatrix, x: Any) -> int:
-    if not isinstance(x, int) or not 0 <= x < matrix.cols:
-        raise InputError(
-            f"general-mode elements are column indices; got {x!r}")
-    return x
-
-
-def _minor(field: PrimeField, cols: list[list[int]],
-           rows: tuple[int, ...]) -> int:
-    p = field.p
-    if len(rows) == 1:
-        return cols[0][rows[0]] % p
-    if len(rows) == 2:
-        (a, b), (c, d) = ((cols[0][rows[0]], cols[1][rows[0]]),
-                          (cols[0][rows[1]], cols[1][rows[1]]))
-        return (a * d - b * c) % p
-    i, j, k = rows
-    a, b, c = cols[0][i], cols[1][i], cols[2][i]
-    d, e, f = cols[0][j], cols[1][j], cols[2][j]
-    g, h, l = cols[0][k], cols[1][k], cols[2][k]
-    return (a * (e * l - f * h) - b * (d * l - f * g)
-            + c * (d * h - e * g)) % p
-
-
-def extends(rep: MatroidRep, base: Sequence[Any], extra: Sequence[Any]) -> bool:
-    """True when base and extra are disjoint and their union is independent."""
-    if set(base) & set(extra):
-        return False
-    return rep.is_independent(list(base) + list(extra))

@@ -119,6 +119,8 @@ def exact_tester(net: TerminalNetwork, c: int,
     all 2^n subsets are scanned.
     """
     _validate_c(c)
+    if ceiling < 0:
+        raise InputError(f"exact tester ceiling must be >= 0, got {ceiling}")
     n = net.n
     if n > ceiling:
         raise RefusedError(

@@ -1,0 +1,326 @@
+"""Reference code that only the tests and demos call.
+
+None of this runs in the CLI. Each definition is either an independent
+route to a result the engine computes another way (gammoid independence by
+disjoint paths, all minimum witnesses by subset search, the general-form
+representative set) or a construction a gate measures the engine against
+(the isolating-cut 2-approximation, the covering condition). The file name
+keeps pytest from collecting it; tests import it as `reference`, which
+works because pytest puts this directory on sys.path.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+from math import comb
+from typing import Any, Iterable, Sequence
+
+from cutmimic.errors import InputError, InternalError, RefusedError
+from cutmimic.ffield import (
+    PrimeField,
+    PrimeFieldMatrix,
+    select_independent_columns,
+)
+from cutmimic.matroids import (
+    Digraph,
+    MatroidRep,
+    Node,
+    build_edge_cut_gammoid_digraph,
+    gammoid_rep,
+)
+from cutmimic.netgraph import (
+    Partition,
+    TerminalNetwork,
+    components,
+    t_capacity,
+    terminal_capacity,
+)
+from cutmimic.oracles import (
+    _check_partition,
+    closest_min_cut,
+    is_multiway_cut,
+    min_cut_side,
+    min_multiway_cut,
+)
+from cutmimic.reducer import ReduceParams, ReductionTrace, mimicking_network
+from cutmimic.repset import CandidateFamily
+
+
+# -- fields and matrices -----------------------------------------------------
+
+def random_matrix(rng: random.Random, field: PrimeField,
+                  rows: int, cols: int) -> PrimeFieldMatrix:
+    """Entries uniform over [0, p)."""
+    data = [rng.randrange(field.p) for _ in range(rows * cols)]
+    return PrimeFieldMatrix(field, rows, cols, data)
+
+
+def block_matrix(field: PrimeField,
+                 blocks: Sequence[PrimeFieldMatrix]) -> PrimeFieldMatrix:
+    """Block-diagonal stack."""
+    rows = sum(b.rows for b in blocks)
+    cols = sum(b.cols for b in blocks)
+    out = PrimeFieldMatrix(field, rows, cols)
+    r0 = c0 = 0
+    for b in blocks:
+        if b.field.p != field.p:
+            raise InputError("mixed moduli in block matrix")
+        for i in range(b.rows):
+            base = (r0 + i) * cols + c0
+            out.data[base:base + b.cols] = b.row(i)
+        r0 += b.rows
+        c0 += b.cols
+    return out
+
+
+# -- matroids ----------------------------------------------------------------
+
+def disjoint_union(field: PrimeField, reps: Sequence[MatroidRep]) -> MatroidRep:
+    """Direct sum as a single representation; ground elements are tagged
+    with their layer index to keep copies distinct.
+    """
+    if not reps:
+        raise InputError("disjoint union needs at least one layer")
+    mat = block_matrix(field, [r.matrix for r in reps])
+    ground = tuple((i, x) for i, r in enumerate(reps) for x in r.ground)
+    return MatroidRep(mat, ground, sum(r.rank for r in reps))
+
+
+def edge_cut_gammoid(field: PrimeField, rng: random.Random,
+                     net: TerminalNetwork) -> MatroidRep:
+    """Gammoid layer for a network: strict gammoid of the edge-adjacency
+    digraph linked to the terminal-incident edges, over the full node set.
+    Edge e enters candidate tuples through its sink-only copy ("zp", e).
+    """
+    inst = build_edge_cut_gammoid_digraph(net)
+    return gammoid_rep(field, rng, inst.digraph, inst.sources, inst.ground)
+
+
+def max_disjoint_paths(dg: Digraph, sources: Sequence[Node],
+                       targets: Sequence[Node]) -> int:
+    """Maximum number of vertex-disjoint paths from `sources` to `targets`
+    (unit node capacities, sources and targets included). Zero-length paths
+    count when a source is itself a target.
+    """
+    SRC, SNK = ("#src",), ("#snk",)
+    cap: dict[Node, dict[Node, int]] = {}
+
+    def add(u: Node, v: Node, c: int) -> None:
+        cap.setdefault(u, {})[v] = cap.get(u, {}).get(v, 0) + c
+        cap.setdefault(v, {}).setdefault(u, 0)
+
+    for v in dg.nodes:
+        add(("i", v), ("o", v), 1)
+    for u, v in dg.arcs:
+        add(("o", u), ("i", v), 1)
+    for s in set(sources):
+        add(SRC, ("i", s), 1)
+    for t in set(targets):
+        add(("o", t), SNK, 1)
+    if SRC not in cap or SNK not in cap:
+        return 0
+
+    flow = 0
+    while True:
+        parent: dict[Node, Node] = {SRC: SRC}
+        queue = [SRC]
+        while queue and SNK not in parent:
+            nxt: list[Node] = []
+            for u in queue:
+                for v, c in cap[u].items():
+                    if c > 0 and v not in parent:
+                        parent[v] = u
+                        nxt.append(v)
+            queue = nxt
+        if SNK not in parent:
+            return flow
+        v = SNK
+        while v != SRC:
+            u = parent[v]
+            cap[u][v] -= 1
+            cap[v][u] += 1
+            v = u
+        flow += 1
+
+
+def is_independent_by_flow(dg: Digraph, sources: Sequence[Node],
+                           subset: Sequence[Node]) -> bool:
+    """Gammoid independence checked directly: the subset is independent iff
+    it can be fully linked to the sources by vertex-disjoint paths.
+    """
+    if len(set(subset)) != len(subset):
+        return False
+    return max_disjoint_paths(dg, sources, subset) == len(subset)
+
+
+# -- representative sets -----------------------------------------------------
+
+def representative_set_general(matrix: PrimeFieldMatrix,
+                               family: CandidateFamily,
+                               r: int | None = None) -> CandidateFamily:
+    """General-form selection for s-subset families, s <= 3.
+
+    Each candidate is mapped to the vector of its s x s minors, taken over
+    row s-subsets of a row basis in lexicographic order, and a greedy
+    maximal independent set of those vectors is kept in input order. The
+    row basis is the greedy basis of the matrix rows; any row basis serves,
+    because changing it multiplies every minor vector by the same invertible
+    matrix (the s-th compound of the change of basis). A survivor count
+    above C(r+s, s), where r defaults to rank(matrix) - s, raises
+    InternalError.
+    """
+    if family.mode != "general":
+        raise InputError("general-form selection needs a general-mode family")
+    s = family.s
+    assert s is not None
+    if s > 3:
+        raise RefusedError(f"minor computation limited to s <= 3, got s={s}")
+    field = matrix.field
+    all_rows = [matrix.row(i) for i in range(matrix.rows)]
+    basis = [all_rows[i] for i in select_independent_columns(field, all_rows)]
+    rho = len(basis)
+    if r is None:
+        r = max(rho - s, 0)
+    if rho > r + s:
+        raise InputError(f"rank {rho} exceeds r+s = {r + s}")
+    if not family.sets:
+        return family
+    cols = [[row[j] for row in basis] for j in range(matrix.cols)]
+    vectors: list[list[int]] = []
+    row_sets = list(combinations(range(rho), s))
+    for t in family.sets:
+        tcols = [cols[_locate_column(matrix, x)] for x in t]
+        vec = [_minor(field, tcols, rows) for rows in row_sets]
+        if not any(vec):
+            raise InputError(f"dependent candidate set {t!r}")
+        vectors.append(vec)
+    keep = select_independent_columns(field, vectors)
+    bound = comb(r + s, s)
+    if len(keep) > bound:
+        raise InternalError(
+            f"{len(keep)} survivors exceed C(r+s, s) = {bound}")
+    return family.subfamily(keep)
+
+
+def _locate_column(matrix: PrimeFieldMatrix, x: Any) -> int:
+    if not isinstance(x, int) or not 0 <= x < matrix.cols:
+        raise InputError(
+            f"general-mode elements are column indices; got {x!r}")
+    return x
+
+
+def _minor(field: PrimeField, cols: list[list[int]],
+           rows: tuple[int, ...]) -> int:
+    p = field.p
+    if len(rows) == 1:
+        return cols[0][rows[0]] % p
+    if len(rows) == 2:
+        (a, b), (c, d) = ((cols[0][rows[0]], cols[1][rows[0]]),
+                          (cols[0][rows[1]], cols[1][rows[1]]))
+        return (a * d - b * c) % p
+    i, j, k = rows
+    a, b, c = cols[0][i], cols[1][i], cols[2][i]
+    d, e, f = cols[0][j], cols[1][j], cols[2][j]
+    g, h, l = cols[0][k], cols[1][k], cols[2][k]
+    return (a * (e * l - f * h) - b * (d * l - f * g)
+            + c * (d * h - e * g)) % p
+
+
+def extends(rep: MatroidRep, base: Sequence[Any], extra: Sequence[Any]) -> bool:
+    """True when base and extra are disjoint and their union is independent."""
+    if set(base) & set(extra):
+        return False
+    return rep.is_independent(list(base) + list(extra))
+
+
+# -- networks and cuts -------------------------------------------------------
+
+def delete_edges(net: TerminalNetwork, eids: Iterable[int]) -> TerminalNetwork:
+    """Remove the given edges; all vertices stay, including newly isolated
+    ones, so component counts reflect the deletion.
+    """
+    drop = set(int(e) for e in eids)
+    missing = drop - set(net.edge_ids())
+    if missing:
+        raise InputError(f"unknown edge ids {sorted(missing)}")
+    return TerminalNetwork(
+        net.vertices,
+        tuple(e for e in net.edges if e[0] not in drop),
+        net.terminals)
+
+
+def enumerate_minimum_multiway_cuts(net: TerminalNetwork, part: Partition,
+                                    limit: int = 2_000_000
+                                    ) -> tuple[tuple[int, ...], ...]:
+    """All minimum witnesses, by direct subset search."""
+    value, _ = min_multiway_cut(net, part)
+    if comb(net.m, value) > limit:
+        raise RefusedError("witness enumeration would be too large")
+    return tuple(X for X in combinations(net.edge_ids(), value)
+                 if is_multiway_cut(net, part, X))
+
+
+def two_approx_multicut_cover(net: TerminalNetwork, part: Partition
+                              ) -> tuple[tuple[int, ...], int]:
+    """Union of per-block isolating closest cuts; a multiway cut for the
+    partition whose size the half-integral multiflow bound keeps within
+    twice the optimum (the inequality is asserted by the test suite, the
+    multiflow is never constructed).
+    """
+    _check_partition(net, part)
+    tset = set(net.terminals)
+    out: set[int] = set()
+    for block in part.blocks:
+        rest = tset - set(block)
+        if not rest:
+            continue
+        out.update(closest_min_cut(net, block, rest))
+    witness = tuple(sorted(out))
+    if not is_multiway_cut(net, part, witness):
+        raise InternalError(
+            f"isolating-cut union {witness} is not a multiway cut "
+            f"for {part.to_text()}")
+    return witness, len(witness)
+
+
+def isolating_cut_values(net: TerminalNetwork, part: Partition) -> tuple[int, ...]:
+    """The per-block isolating min-cut values, for the sum inequality."""
+    _check_partition(net, part)
+    tset = set(net.terminals)
+    vals = []
+    for block in part.blocks:
+        rest = tset - set(block)
+        vals.append(min_cut_side(net, block, rest)[0] if rest else 0)
+    return tuple(vals)
+
+
+def covering_condition_holds(net: TerminalNetwork, X: Sequence[int],
+                             i0: int, c: int,
+                             bound_override: int | None = None) -> bool:
+    """Components of G - X sorted by non-increasing cap_T (measured in G;
+    ties: larger component first, then smaller least vertex): true iff the
+    union of components from position i0 onward has at most k^(c-i0)
+    vertices. bound_override substitutes for k^(c-i0) when the graphic
+    layer actually ran at a clamped rank.
+    """
+    if i0 < 2 or c < i0:
+        raise InputError("need 2 <= i0 <= c")
+    k = terminal_capacity(net)
+    bound = k ** (c - i0) if bound_override is None else bound_override
+    keyed = sorted(
+        components(net, X),
+        key=lambda comp: (-t_capacity(net, set(comp)), -len(comp), comp[0]))
+    tail = sum(len(comp) for comp in keyed[i0 - 1:])
+    return tail <= bound
+
+
+# -- reduction ---------------------------------------------------------------
+
+def multicut_covering_set(net: TerminalNetwork, params: ReduceParams
+                          ) -> tuple[tuple[int, ...], ReductionTrace]:
+    """Covering edge set: every request set over T has a minimum multicut
+    inside it. The ids index edges of the input network.
+    """
+    final, trace = mimicking_network(net, params)
+    return final.edge_ids(), trace

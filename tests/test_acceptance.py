@@ -23,13 +23,10 @@ from cutmimic.frontend import (
     kernelize_multicut,
     kernelize_multiway_cut,
 )
-from cutmimic.marker import MarkParams, covering_condition_holds, mark
+from cutmimic.marker import MarkParams, mark
 from cutmimic.matroids import (
     LayeredMatroid,
     build_edge_cut_gammoid_digraph,
-    disjoint_union,
-    edge_cut_gammoid,
-    is_independent_by_flow,
     uniform_rep,
 )
 from cutmimic.netgraph import (
@@ -38,30 +35,33 @@ from cutmimic.netgraph import (
     TerminalNetwork,
     all_partitions,
     components,
-    delete_edges,
     t_capacity,
     terminal_capacity,
 )
 from cutmimic.oracles import (
     cut_value_table,
-    enumerate_minimum_multiway_cuts,
     essential_edges,
     essential_for_network,
-    isolating_cut_values,
     min_multicut,
     min_multiway_cut,
-    two_approx_multicut_cover,
 )
 from cutmimic.reducer import ReduceParams, mimicking_network
-from cutmimic.repset import (
-    CandidateFamily,
-    extends,
-    representative_set_general,
-    representative_set_product,
-)
+from cutmimic.repset import CandidateFamily, representative_set_product
 from cutmimic.tester import exact_tester
 
 from conftest import random_connected_network
+from reference import (
+    covering_condition_holds,
+    delete_edges,
+    disjoint_union,
+    edge_cut_gammoid,
+    enumerate_minimum_multiway_cuts,
+    extends,
+    is_independent_by_flow,
+    isolating_cut_values,
+    representative_set_general,
+    two_approx_multicut_cover,
+)
 
 F = PrimeField(MERSENNE61)
 

@@ -1,0 +1,56 @@
+"""The benchmark's tracer names package functions and parameters by string.
+
+perfbench/tracer.py wraps each `(module, function)` of TRACED at every
+module that binds it, and its KEEP lambdas read a traced call's arguments by
+parameter name. A moved function makes `Tracer.install` raise, and a
+renamed parameter silently leaves a counter at zero, so both are checked
+here against the package as it stands.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def traced_function(modname, fname):
+    return getattr(importlib.import_module(f"cutmimic.{modname}"), fname, None)
+
+
+def test_every_traced_function_resolves(tracer):
+    missing = [(mod, fn) for mod, fn, _ in tracer.TRACED
+               if not callable(traced_function(mod, fn))]
+    assert not missing, missing
+
+
+def test_keep_reads_only_real_parameters(tracer):
+    by_span = {span: (mod, fn) for mod, fn, span in tracer.TRACED}
+    read_any = False
+    for span, keep in tracer.KEEP.items():
+        assert span in by_span, span
+        fn = traced_function(*by_span[span])
+        params = inspect.signature(fn).parameters
+        # A KEEP lambda reads arguments as a["name"]: its string constants.
+        names = {c for c in keep.__code__.co_consts if isinstance(c, str)}
+        read_any |= bool(names)
+        unknown = names - set(params)
+        assert not unknown, (span, sorted(unknown))
+    assert read_any

@@ -13,12 +13,13 @@ from cutmimic.ffield import (
     PrimeFieldMatrix,
     is_prime,
     kronecker_column,
-    random_matrix,
     random_nonzero,
     rank,
     select_independent_columns,
     vandermonde,
 )
+
+from reference import random_matrix
 
 F = PrimeField(MERSENNE61)
 F7 = PrimeField(7)

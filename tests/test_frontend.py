@@ -268,6 +268,15 @@ def test_cli_tester_ceiling_exit_code(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_cli_negative_exact_ceiling_exits_two(tmp_path, capsys):
+    # a negative ceiling is malformed input, not a ceiling the graph exceeds
+    g = write_net(tmp_path, "g.net", path1(4))
+    assert cli(["tester", g, "--max-exact-n", "-1"]) == 2
+    assert cli(["reduce", g, "--max-exact-n", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "refused" not in err
+
+
 def test_cli_mark_lists_edges(tmp_path, capsys):
     k4 = TerminalNetwork.build(
         [1, 2, 3, 4],

@@ -13,7 +13,6 @@ from cutmimic.marker import (
     DEFAULT_I0,
     MarkParams,
     build_marking_matroid,
-    covering_condition_holds,
     default_c,
     mark,
 )
@@ -22,7 +21,6 @@ from cutmimic.netgraph import (
     TerminalNetwork,
     all_partitions,
     components,
-    delete_edges,
     format_network,
     parse_network,
     t_capacity,
@@ -30,13 +28,17 @@ from cutmimic.netgraph import (
 )
 from cutmimic.oracles import (
     cut_value_table,
-    enumerate_minimum_multiway_cuts,
     essential_edges,
     essential_for_network,
 )
 from cutmimic.tester import exact_tester
 
 from conftest import path_network, random_connected_network, triangle
+from reference import (
+    covering_condition_holds,
+    delete_edges,
+    enumerate_minimum_multiway_cuts,
+)
 
 
 def k4(terminals=(1, 2)):

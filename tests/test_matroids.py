@@ -12,20 +12,22 @@ from cutmimic.errors import FieldTooSmallError, InputError
 from cutmimic.ffield import MERSENNE61, PrimeField, PrimeFieldMatrix, rank
 from cutmimic.matroids import (
     LayeredMatroid,
-    block_matrix,
     build_edge_cut_gammoid_digraph,
-    disjoint_union,
-    edge_cut_gammoid,
     gammoid_rep,
     graphic_rep,
-    is_independent_by_flow,
-    max_disjoint_paths,
     signed_incidence,
     uniform_rep,
 )
 from cutmimic.netgraph import TerminalNetwork
 
 from conftest import random_connected_network, triangle
+from reference import (
+    block_matrix,
+    disjoint_union,
+    edge_cut_gammoid,
+    is_independent_by_flow,
+    max_disjoint_paths,
+)
 
 F = PrimeField(MERSENNE61)
 

@@ -5,6 +5,7 @@ local reduction rules, partitions, and the text format.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutmimic.errors import InputError, TerminalContractionError
 from cutmimic.netgraph import (
@@ -18,7 +19,6 @@ from cutmimic.netgraph import (
     contract_edge,
     contract_vertex_set,
     degree2_reduce,
-    delete_edges,
     format_network,
     format_requests,
     neighborhood,
@@ -30,6 +30,7 @@ from cutmimic.netgraph import (
 )
 
 from conftest import path_network, random_connected_network, triangle
+from reference import delete_edges
 
 
 def test_build_validates():
@@ -94,16 +95,15 @@ def test_components_two_triangles():
 
 def test_recursive_instance_path():
     p = path_network(3)
-    sub, emb = recursive_instance(p, {1})
+    sub = recursive_instance(p, {1})
     assert set(sub.vertices) == {0, 1, 2}
     assert sub.edge_ids() == (1, 2)
     assert sub.terminals == (0, 2)
-    assert emb == {1: 1, 2: 2}
 
 
 def test_recursive_instance_triangle():
     tri = triangle(terminals=(1,))
-    sub, _ = recursive_instance(tri, {2})
+    sub = recursive_instance(tri, {2})
     # edge 3 joins vertices 3 and 1, both outside S, so it is dropped
     assert sub.edge_ids() == (1, 2)
     assert sub.terminals == (1, 3)
@@ -111,7 +111,7 @@ def test_recursive_instance_triangle():
 
 def test_recursive_instance_full_side():
     p = path_network(3)
-    sub, _ = recursive_instance(p, {1, 2})
+    sub = recursive_instance(p, {1, 2})
     assert sub.edge_ids() == (1, 2, 3)
     assert sub.terminals == (0, 3)
     with pytest.raises(InputError):
@@ -127,10 +127,9 @@ def test_recursive_instance_capacity_identity():
         if not nonterm:
             continue
         S = set(rng.sample(nonterm, rng.randint(1, len(nonterm))))
-        sub, emb = recursive_instance(net, S)
+        sub = recursive_instance(net, S)
         assert terminal_capacity(sub) == t_capacity(net, S)
-        assert sorted(emb) == sorted(sub.edge_ids())
-        assert all(emb[e] == e for e in emb)
+        assert set(sub.edges) <= set(net.edges)
 
 
 def test_contract_edge_path():
@@ -344,3 +343,29 @@ class TestTextFormat:
         assert format_requests(reqs) == "r 1 3\n"
         with pytest.raises(InputError):
             parse_requests(net, "r 1 2\n")  # 2 is not a terminal
+
+
+@st.composite
+def contracted_networks(draw):
+    """Random multigraphs with some edges contracted, so that vertex and
+    edge ids have gaps."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          max_size=3 * n))
+    terms = draw(st.sets(st.integers(1, n), max_size=4))
+    net = TerminalNetwork.build(
+        range(1, n + 1), [(k, u, v) for k, (u, v) in enumerate(pairs, 1)],
+        terms)
+    picks = draw(st.lists(st.integers(1, max(len(pairs), 1)), max_size=n))
+    for eid in picks:
+        if eid in net.edge_ids() and not all(
+                net.is_terminal(v) for v in net.endpoints(eid)):
+            net = contract_edge(net, eid)
+    return net
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(contracted_networks())
+def test_text_format_round_trip_property(net):
+    text = format_network(net)
+    assert format_network(parse_network(text)) == text

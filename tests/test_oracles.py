@@ -22,20 +22,22 @@ from cutmimic.oracles import (
     closest_min_cut,
     cut_covering_set,
     cut_value_table,
-    enumerate_minimum_multiway_cuts,
     essential_edges,
     essential_for_network,
     is_multicut,
     is_multiway_cut,
-    isolating_cut_values,
     min_cut_side,
     min_multicut,
     min_multiway_cut,
-    two_approx_multicut_cover,
     verify_mimicking,
 )
 
 from conftest import path_network, random_connected_network, triangle
+from reference import (
+    enumerate_minimum_multiway_cuts,
+    isolating_cut_values,
+    two_approx_multicut_cover,
+)
 
 
 # independent reference implementation
@@ -146,9 +148,10 @@ def test_multiway_bad_witness_raises_internal_error(monkeypatch):
         min_multiway_cut(triangle(), part)
 
 
-def test_multiway_refuses_above_edge_ceiling():
-    with pytest.raises(RefusedError):
-        min_multiway_cut(c4(), singletons(c4()), max_edges=3)
+def test_multiway_refuses_above_edge_ceiling(monkeypatch):
+    monkeypatch.setattr("cutmimic.oracles.BB_EDGE_CEILING", 3)
+    with pytest.raises(RefusedError, match="exceeds search ceiling 3"):
+        min_multiway_cut(c4(), singletons(c4()))
 
 
 # minimum multicut
@@ -395,7 +398,7 @@ def test_table_canonical_order_and_values():
 def test_table_rejects_nonzero_single_block():
     part = Partition.of((1, 2), [[1, 2]])
     with pytest.raises(InputError):
-        CutValueTable(((part, 1),), ((),))
+        CutValueTable(((part, 1),))
 
 
 def test_table_monotone_under_refinement():

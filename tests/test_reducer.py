@@ -28,12 +28,12 @@ from cutmimic.reducer import (
     Stop,
     format_trace,
     mimicking_network,
-    multicut_covering_set,
     parse_trace,
     replay_trace,
 )
 
 from conftest import path_network, random_connected_network, triangle
+from reference import multicut_covering_set
 
 
 def pendant_blob():

@@ -8,13 +8,10 @@ import pytest
 
 from cutmimic.errors import InputError, RefusedError
 from cutmimic.ffield import MERSENNE61, PrimeField, PrimeFieldMatrix, vandermonde
-from cutmimic.matroids import LayeredMatroid, MatroidRep, disjoint_union, uniform_rep
-from cutmimic.repset import (
-    CandidateFamily,
-    extends,
-    representative_set_general,
-    representative_set_product,
-)
+from cutmimic.matroids import LayeredMatroid, MatroidRep, uniform_rep
+from cutmimic.repset import CandidateFamily, representative_set_product
+
+from reference import disjoint_union, extends, representative_set_general
 
 F = PrimeField(MERSENNE61)
 

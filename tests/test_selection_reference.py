@@ -28,14 +28,10 @@ from cutmimic.ffield import (
 from cutmimic.marker import MarkParams, build_marking_matroid
 from cutmimic.matroids import MatroidRep, graphic_rep, signed_incidence
 from cutmimic.netgraph import TerminalNetwork, components
-from cutmimic.repset import (
-    CandidateFamily,
-    _minor,
-    representative_set_general,
-    representative_set_product,
-)
+from cutmimic.repset import CandidateFamily, representative_set_product
 
 from conftest import random_connected_network
+from reference import _minor, representative_set_general
 
 PRIMES = (MERSENNE61, 101, 11, 3)
 

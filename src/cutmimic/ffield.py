@@ -8,7 +8,12 @@ The marking stage's selection works on plain lists of vectors, not on a
 matrix: select_independent_columns scans them in the caller's order and
 keeps each one outside the span of those kept before it. That kept set is a
 property of the vectors alone, so it does not depend on how the reduction
-is organised.
+is organised: it reduces lazily, reading each factor mod p but leaving a
+vector's entries unreduced until its lead is needed.
+
+random_nonzeros draws a batch of nonzero entries with the values, and the
+rng state, of one randrange(1, p) call per entry, without that call's
+argument checks.
 """
 
 from __future__ import annotations
@@ -181,6 +186,12 @@ def select_independent_columns(field: PrimeField,
     undoes an earlier one, and a vector reduces to zero exactly when it lies
     in the span of those kept before it. Once the kept vectors span the
     whole space, every later one would reduce to zero, so the scan stops.
+
+    The reduction is lazy: each step reads its factor f as v[lead] mod p
+    and adds (p - f) times the stored vector, which is reduced, without
+    reducing v. v is reduced once, before its lead is read: the same
+    residues as reducing at every step. A reduced entry gains less than p^2
+    per kept vector, so entries stay below p + d p^2 in dimension d.
     """
     if any(len(v) != len(vectors[0]) for v in vectors):
         raise InputError("ragged candidate vectors")
@@ -188,11 +199,12 @@ def select_independent_columns(field: PrimeField,
     pivots: list[tuple[int, list[int]]] = []  # (lead, vector from lead on)
     kept: list[int] = []
     for j, vec in enumerate(vectors):
-        v = [x % p for x in vec]
+        v = list(vec)
         for lead, tail in pivots:
-            f = v[lead]
+            f = v[lead] % p
             if f:
-                v[lead:] = [(a - f * b) % p for a, b in zip(v[lead:], tail)]
+                v[lead:] = [a + (p - f) * b for a, b in zip(v[lead:], tail)]
+        v = [x % p for x in v]
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             continue
@@ -225,8 +237,26 @@ def kronecker_column(field: PrimeField, vectors: Sequence[Sequence[int]],
     return acc
 
 
-def random_nonzero(rng: random.Random, field: PrimeField) -> int:
-    return rng.randrange(1, field.p)
+def random_nonzeros(rng: random.Random, field: PrimeField,
+                    count: int) -> list[int]:
+    """`count` draws uniform over [1, p): the values of `count` calls of
+    rng.randrange(1, p), and the rng left in the same state.
+
+    randrange(1, p) is 1 + r for the first draw r = rng.getrandbits(k) with
+    r < p - 1, where k = bitlen(p - 1). Each round here makes exactly as
+    many getrandbits(k) calls as draws are still missing and keeps the
+    accepted ones in order, so the calls, their order and the accepted
+    values are those of the one-at-a-time loop, and no call is made past
+    the last accepted draw.
+    """
+    width = field.p - 1
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    out: list[int] = []
+    while len(out) < count:
+        batch = [getrandbits(k) for _ in range(count - len(out))]
+        out += [r + 1 for r in batch if r < width]
+    return out
 
 
 def vandermonde(field: PrimeField, rank_rows: int, points: Sequence[int]) -> PrimeFieldMatrix:

@@ -204,13 +204,15 @@ def _cmd_mark(args: argparse.Namespace) -> int:
 
 def _cmd_tester(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.graph))
+    ceiling = (args.max_exact_n if args.max_exact_n is not None
+               else DEFAULT_EXACT_CEILING)
+    if ceiling < 0:  # malformed whichever tester runs, as for reduce
+        raise InputError(f"exact tester ceiling must be >= 0, got {ceiling}")
     c = args.c
     if c is None:
         i0 = args.i0 if args.i0 is not None else DEFAULT_I0
         c = default_c(terminal_capacity(net), i0)
     if args.tester == "exact":
-        ceiling = (args.max_exact_n if args.max_exact_n is not None
-                   else DEFAULT_EXACT_CEILING)
         verdict = exact_tester(net, c, ceiling)
     else:
         verdict = heuristic_tester(net, c)

@@ -18,27 +18,40 @@ reduction would draw it, the reduced form it stands for is unique, and the
 two are singular together, so the result matches the full reduction bit for
 bit, rng state and refusals included.
 
+The edge-cut digraph is built from the network's incidence sets: each
+edge's neighbor set is computed once and is the in-list of both its nodes,
+so no arc list is generated, sorted or checked arc by arc. Its nodes and
+in-lists come out in repr order, the order that fixes the pattern draws,
+which are taken in one batch with the same values and rng state as one
+randrange(1, p) per entry.
+
 The inner block is eliminated on packed rows: each row is one Python int
 holding one field entry per fixed-width slot, for n inner nodes
 8 * (ceil((2 bitlen(p) + bitlen(n)) / 8) + 1) bits wide. Updating a row
 below the pivot is then one big-int multiply-add and shift instead of a
-loop over its entries. A slot starts below p and gains less than p^2 per
-pivot, over at most n pivots, so it never carries into its neighbour: every
-entry stays exact mod p, and the solve returns the same B^-1 C as an
-elimination on lists of reduced entries.
+loop over its entries. The rows of A = B^-1 C stay packed, one slot per
+source, through back-substitution and into each sink's row, where every
+in-neighbor term is again one multiply-add. Every packed sum is below
+p + n p^2 per slot, whatever the number of sources (a sink's source
+in-neighbors land in distinct slots), so no slot carries into its
+neighbour: every entry stays exact mod p, and the result is the same as
+an elimination on lists of reduced entries.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Hashable, Sequence
+from itertools import islice, repeat
+from operator import lshift
+from typing import Any, Hashable, Mapping, Sequence
 
 from .errors import InputError, RefusedError
 from .ffield import (
     PrimeField,
     PrimeFieldMatrix,
-    random_nonzero,
+    random_nonzeros,
     rank,
     vandermonde,
 )
@@ -48,43 +61,41 @@ Node = Hashable
 
 
 class Digraph:
-    """Immutable digraph with precomputed neighbor maps."""
+    """Immutable digraph stored as in-neighbor lists.
 
-    __slots__ = ("nodes", "arcs", "_in")
+    `ins` maps every node to the tuple of its in-neighbors. The node order is
+    the mapping's key order and each in-list keeps its order; together they
+    fix the order in which gammoid_rep draws its pattern, so callers pass
+    both in a canonical order (build_edge_cut_gammoid_digraph uses repr
+    order). The constructor refuses an in-neighbor that is not a node, a
+    node listed among its own in-neighbors and an in-list that repeats a
+    node, with set operations per node rather than a loop per arc.
+    """
 
-    def __init__(self, nodes: Sequence[Node], arcs: Sequence[tuple[Node, Node]]):
-        """Nodes are kept sorted by repr, arcs (deduplicated) by the
-        positions of their tail and then their head in that node order.
+    __slots__ = ("nodes", "_in")
 
-        That arc order is the order of the arcs' own reprs whenever
-        distinct nodes have distinct reprs and no node's repr is a proper
-        prefix of another's that continues with "," or a character below
-        it: only for such a pair can repr((u, v)) order two arcs against
-        the node order. int, str and tuple nodes (of these) have no such
-        pair, so for them the order is sorted(arcs, key=repr), without
-        building a repr per arc.
-        """
-        self.nodes = tuple(sorted(set(nodes), key=repr))
-        pos = {v: i for i, v in enumerate(self.nodes)}
-        seen = set()
-        for a in arcs:
-            u, v = a
-            if u not in pos or v not in pos:
-                raise InputError(f"arc {a!r} references unknown node")
-            if u == v:
-                raise InputError(f"self-arc {a!r} not allowed")
-            seen.add((u, v))
-        n = len(pos)
-        self.arcs = tuple(sorted(seen,
-                                 key=lambda a: pos[a[0]] * n + pos[a[1]]))
-        ins: dict[Node, list[Node]] = {v: [] for v in self.nodes}
-        for u, v in self.arcs:
-            ins[v].append(u)
-        self._in: dict[Node, tuple[Node, ...]] = {
-            v: tuple(ins[v]) for v in self.nodes}
+    def __init__(self, ins: Mapping[Node, Sequence[Node]]):
+        self.nodes = tuple(ins)
+        self._in = {v: tuple(ws) for v, ws in ins.items()}
+        if not set().union(*self._in.values()) <= self._in.keys():
+            raise InputError("an arc references an unknown node")
+        for v, ws in self._in.items():
+            if v in ws:
+                raise InputError(f"self-arc at {v!r} not allowed")
+            if len(set(ws)) != len(ws):
+                raise InputError(f"repeated arc into {v!r}")
 
     def in_neighbors(self, v: Node) -> tuple[Node, ...]:
         return self._in[v]
+
+    @property
+    def arcs(self) -> tuple[tuple[Node, Node], ...]:
+        """(tail, head) pairs by the node order of the tail, then the head."""
+        outs: dict[Node, list[Node]] = {v: [] for v in self.nodes}
+        for v in self.nodes:
+            for u in self._in[v]:
+                outs[u].append(v)
+        return tuple((u, v) for u in self.nodes for v in outs[u])
 
 
 @dataclass(frozen=True)
@@ -231,25 +242,33 @@ def build_edge_cut_gammoid_digraph(net: TerminalNetwork) -> GammoidInstance:
     For every pair of distinct edges e, f sharing an endpoint there are arcs
     ("z", e) -> ("z", f), ("z", f) -> ("z", e), ("z", e) -> ("zp", f) and
     ("z", f) -> ("zp", e); the copies have no outgoing arcs.
+
+    So ("z", e) and ("zp", e) share one in-list: the ("z", f) of the edges
+    f != e that share an endpoint with e, read off the incidence sets of
+    e's endpoints. Nodes are in repr order, every ("z", _) before every
+    ("zp", _) and str(e) order within each block, and each in-list in node
+    order.
     """
-    eids = net.edge_ids()
-    nodes: list[Node] = [("z", e) for e in eids] + [("zp", e) for e in eids]
-    arcs: set[tuple[Node, Node]] = set()
-    adj = net.adjacency()
-    for v in net.vertices:
-        inc = [e for e, _ in adj[v]]
-        for i, e in enumerate(inc):
-            for f in inc[i + 1:]:
-                if e == f:
-                    continue
-                arcs.add((("z", e), ("z", f)))
-                arcs.add((("z", f), ("z", e)))
-                arcs.add((("z", e), ("zp", f)))
-                arcs.add((("z", f), ("zp", e)))
+    order = sorted(net.edge_ids(), key=str)
+    z = {e: ("z", e) for e in order}
+    pos = {e: i for i, e in enumerate(order)}
+    incident: dict[int, set[int]] = {v: set() for v in net.vertices}
+    for e, u, v in net.edges:
+        incident[u].add(e)
+        incident[v].add(e)
+    near: dict[int, tuple[Node, ...]] = {}
+    for e, u, v in net.edges:
+        nbrs = incident[u] | incident[v]
+        nbrs.discard(e)
+        near[e] = tuple(map(z.__getitem__, sorted(nbrs, key=pos.__getitem__)))
+    ins = {z[e]: near[e] for e in order}
+    ins.update((("zp", e), near[e]) for e in order)
     tset = set(net.terminals)
-    sources = tuple(("z", e) for e, u, v in net.edges
+    sources = tuple(z[e] for e, u, v in net.edges
                     if u in tset or v in tset)
-    return GammoidInstance(Digraph(nodes, tuple(arcs)), sources, tuple(nodes))
+    eids = net.edge_ids()
+    ground = tuple(z[e] for e in eids) + tuple(("zp", e) for e in eids)
+    return GammoidInstance(Digraph(ins), sources, ground)
 
 
 def gammoid_rep(field: PrimeField, rng: random.Random, dg: Digraph,
@@ -275,7 +294,13 @@ def gammoid_rep(field: PrimeField, rng: random.Random, dg: Digraph,
 
     Each inner pattern row is built packed into one int, in the layout
     `_solve_leading_block` takes: the entry of solve column j (inner
-    columns, then source columns) sits at bit j * _slot_bits(p, n).
+    columns, then source columns) sits at bit j * _slot_bits(p, n). The
+    rows of A come back packed the same way, one slot per source, and a
+    sink y's row is w_yy^-1 (C_y + sum (p - w_yz) A_z) over its inner
+    in-neighbors z: one multiply-add per in-neighbor. Each slot of that
+    sum holds at most one source entry (below p; Digraph refuses repeated
+    arcs) and at most n terms below p^2, the bound `_slot_bits` is sized
+    for, whatever s is.
     """
     src = set(sources)
     if not src <= set(dg.nodes):
@@ -283,65 +308,90 @@ def gammoid_rep(field: PrimeField, rng: random.Random, dg: Digraph,
     if not set(ground) <= set(dg.nodes):
         raise InputError("ground must be digraph nodes")
     p = field.p
-    tails = {u for u, _ in dg.arcs}
+    tails = set().union(*map(dg.in_neighbors, dg.nodes))
     non_src = [v for v in dg.nodes if v not in src]
     src_pos = {v: i for i, v in enumerate(x for x in dg.nodes if x in src)}
     s = len(src_pos)
     inner_pos = {v: i for i, v in enumerate(u for u in non_src if u in tails)}
     n = len(inner_pos)
     bits = _slot_bits(p, n)
+    size = bits // 8
     # Bit offset of each solve column: inner columns first, then sources.
     shift = {v: i * bits for v, i in inner_pos.items()}
     shift.update((v, (n + i) * bits) for v, i in src_pos.items())
+    ins = [dg.in_neighbors(u) for u in non_src]
+    # Where each in-neighbor's entry goes: in an inner row, the bit offset
+    # of its solve column; in a sink's sum, the bit offset of its slot in a
+    # packed row of A for a source, None for an inner in-neighbor.
+    layout = [[shift[w] for w in ws] if u in inner_pos
+              else [shift[w] - n * bits if w in src_pos else None
+                    for w in ws]
+              for u, ws in zip(non_src, ins)]
+    count = len(non_src) + sum(map(len, ins))
 
     for _ in range(retries):
+        draws = iter(random_nonzeros(rng, field, count))
         work: list[int] = []
-        sink_rows: list[tuple[Node, int, list[tuple[Node, int]]]] = []
-        for u in non_src:
-            own = random_nonzero(rng, field)
-            nbrs = [(w, random_nonzero(rng, field))
-                    for w in dg.in_neighbors(u)]
+        sinks = []
+        for u, ws, offsets in zip(non_src, ins, layout):
+            own = next(draws)
+            xs = list(islice(draws, len(ws)))
             if u in inner_pos:
-                row = own << shift[u]
-                for w, x in nbrs:
-                    row |= x << shift[w]
-                work.append(row)
+                work.append(sum(map(lshift, xs, offsets), own << shift[u]))
             else:
-                sink_rows.append((u, own, nbrs))
+                sinks.append((u, own, ws, xs, offsets))
         inner_a = _solve_leading_block(p, work, n, s)
         if inner_a is None:
             continue
         a_rows = dict(zip(inner_pos, inner_a))
-        # A_y = w_yy^-1 (C_y - sum_z w_yz A_z) over y's in-neighbors z.
-        for y, own, nbrs in sink_rows:
-            acc = [0] * s
-            for w, x in nbrs:
-                if w in src_pos:
-                    acc[src_pos[w]] += x
+        neg_a = {u: [-a % p for a in _unpack(row, size, s)]
+                 for u, row in a_rows.items()}
+        for y, own, ws, xs, offsets in sinks:
+            acc = 0
+            for w, x, offset in zip(ws, xs, offsets):
+                if offset is None:
+                    acc += (p - x) * a_rows[w]
                 else:
-                    acc = [a - x * b for a, b in zip(acc, a_rows[w])]
+                    acc += x << offset
             inv = pow(own, -1, p)
-            a_rows[y] = [a * inv % p for a in acc]
+            neg_a[y] = [-a * inv % p for a in _unpack(acc, size, s)]
         cols = [[int(i == src_pos[x]) for i in range(s)] if x in src_pos
-                else [-a % p for a in a_rows[x]] for x in ground]
+                else neg_a[x] for x in ground]
         data = [col[i] for i in range(s) for col in cols]
         return MatroidRep(PrimeFieldMatrix(field, s, len(cols), data),
                           tuple(ground), s)
     raise RefusedError("transversal pattern kept losing rank; giving up")
 
 
+def _unpack(row: int, size: int, count: int) -> list[int]:
+    """The `count` slots of a packed row, `size` bytes each, from slot 0."""
+    raw = row.to_bytes(count * size, "little")
+    return list(map(int.from_bytes, struct.unpack(f"{size}s" * count, raw),
+                    repeat("little")))
+
+
+def _pack(values: Sequence[int], size: int) -> int:
+    """Inverse of `_unpack` for values below 2^(8 size)."""
+    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(size),
+                                       repeat("little"))), "little")
+
+
 def _slot_bits(p: int, n: int) -> int:
     """Bits per field entry in the packed rows of an n-pivot solve mod p:
     whole bytes holding 2 bitlen(p) + bitlen(n) bits, plus one spare byte.
-    A slot starts below p and each of at most n eliminations adds less than
-    p^2 to it, so it stays below 2^(2 bitlen(p) + bitlen(n)) and never
-    carries into the next slot.
+    Every packed sum the gammoid layer forms is below p + n p^2 in each
+    slot: an entry below p plus at most n products of two reduced entries
+    (elimination: a slot gains less than p^2 per pivot over at most n
+    pivots; back-substitution: at most n - 1 solved rows; a sink's row: at
+    most n inner in-neighbors, its source in-neighbors one entry each in
+    their own slots). So a slot stays below 2^(2 bitlen(p) + bitlen(n))
+    and never carries into the next one.
     """
     return 8 * ((2 * p.bit_length() + n.bit_length() + 7) // 8 + 1)
 
 
 def _solve_leading_block(p: int, work: list[int], n: int,
-                         s: int) -> list[list[int]] | None:
+                         s: int) -> list[int] | None:
     """Rows of B^-1 C for [B | C] with B its leading n x n block and C
     n x s, by forward elimination then back-substitution; None if B is
     singular. Overwrites `work`.
@@ -353,38 +403,41 @@ def _solve_leading_block(p: int, work: list[int], n: int,
     (row & mask) % p. Only the pivot row is unpacked. Its tail, scaled by
     the lead's inverse and reduced, is repacked one slot up, and each lower
     row with lead f becomes (row + (p - f) * tail) >> bits: one big-int
-    multiply-add per row, which adds (p - f) t < p^2 to each slot. No slot
-    carries (see `_slot_bits`), so every slot stays exact mod p and the
-    result equals that of an elimination on reduced lists.
+    multiply-add per row, which adds (p - f) t < p^2 to each slot.
+
+    Each returned row of B^-1 C is packed the same way, s reduced slots
+    from slot 0. Back-substitution keeps the pivot rows' C parts packed, so
+    row r is its C part plus (p - f) times each later solved row with a
+    nonzero coefficient f, again one multiply-add per term, and is reduced
+    slot by slot once. No slot carries (see `_slot_bits`), so every slot
+    stays exact mod p and the result equals that of an elimination on
+    reduced lists.
     """
     bits = _slot_bits(p, n)
     size = bits // 8
     mask = (1 << bits) - 1
-    pivots: list[list[int]] = []
+    pivots: list[tuple[list[int], int]] = []
     for r in range(n):
         piv = next((i for i in range(r, n) if (work[i] & mask) % p), None)
         if piv is None:
             return None
         work[r], work[piv] = work[piv], work[r]
-        width = (n + s - r) * size
-        raw = work[r].to_bytes(width, "little")
-        inv = pow(int.from_bytes(raw[:size], "little"), -1, p)
-        tail = [int.from_bytes(raw[k:k + size], "little") * inv % p
-                for k in range(size, width, size)]
-        pivots.append(tail)
-        up = int.from_bytes(b"".join(x.to_bytes(size, "little")
-                                     for x in tail), "little") << bits
+        lead, *rest = _unpack(work[r], size, n + s - r)
+        inv = pow(lead, -1, p)
+        tail = [x * inv % p for x in rest]
+        packed = _pack(tail, size)
+        up = packed << bits
+        # Row r's B coefficients past column r, and its C part packed.
+        pivots.append((tail[:n - r - 1], packed >> ((n - r - 1) * bits)))
         for i in range(r + 1, n):
             row = work[i]
             f = (row & mask) % p
             work[i] = (row + (p - f) * up) >> bits if f else row >> bits
-    # pivots[r] holds the reduced row r from column r + 1 on.
-    out: list[list[int]] = [[]] * n
+    out = [0] * n
     for r in range(n - 1, -1, -1):
-        row = pivots[r]
-        acc = row[n - r - 1:]
-        for f, sol in zip(row, out[r + 1:]):
+        coefs, acc = pivots[r]
+        for f, sol in zip(coefs, out[r + 1:]):
             if f:
-                acc = [a - f * b for a, b in zip(acc, sol)]
-        out[r] = [a % p for a in acc]
+                acc += (p - f) * sol
+        out[r] = _pack([a % p for a in _unpack(acc, size, s)], size)
     return out

@@ -3,8 +3,10 @@
 None of this runs in the CLI. Each definition is either an independent
 route to a result the engine computes another way (gammoid independence by
 disjoint paths, all minimum witnesses by subset search, the general-form
-representative set) or a construction a gate measures the engine against
-(the isolating-cut 2-approximation, the covering condition). The file name
+representative set, the edge-cut digraph from its generated arc set) or a
+construction a gate measures the engine against (the isolating-cut
+2-approximation, the covering condition), plus the arc-list constructor
+the hand-built test digraphs use. The file name
 keeps pytest from collecting it; tests import it as `reference`, which
 works because pytest puts this directory on sys.path.
 """
@@ -24,6 +26,7 @@ from cutmimic.ffield import (
 )
 from cutmimic.matroids import (
     Digraph,
+    GammoidInstance,
     MatroidRep,
     Node,
     build_edge_cut_gammoid_digraph,
@@ -85,6 +88,45 @@ def disjoint_union(field: PrimeField, reps: Sequence[MatroidRep]) -> MatroidRep:
     mat = block_matrix(field, [r.matrix for r in reps])
     ground = tuple((i, x) for i, r in enumerate(reps) for x in r.ground)
     return MatroidRep(mat, ground, sum(r.rank for r in reps))
+
+
+def digraph_from_arcs(nodes: Iterable[Node],
+                      arcs: Iterable[tuple[Node, Node]]) -> Digraph:
+    """Digraph from a node and arc list: nodes in repr order, arcs
+    deduplicated, each in-list in node order."""
+    order = sorted(set(nodes), key=repr)
+    pos = {v: i for i, v in enumerate(order)}
+    ins: dict[Node, set[Node]] = {v: set() for v in order}
+    for u, v in arcs:
+        if u not in pos or v not in pos:
+            raise InputError(f"arc {(u, v)!r} references unknown node")
+        ins[v].add(u)
+    return Digraph({v: sorted(ins[v], key=pos.__getitem__) for v in order})
+
+
+def reference_edge_cut_gammoid_digraph(net: TerminalNetwork
+                                       ) -> GammoidInstance:
+    """build_edge_cut_gammoid_digraph as a set of generated arcs: for every
+    vertex and every pair of distinct edges at it, all four arcs."""
+    eids = net.edge_ids()
+    nodes: list[Node] = [("z", e) for e in eids] + [("zp", e) for e in eids]
+    arcs: set[tuple[Node, Node]] = set()
+    adj = net.adjacency()
+    for v in net.vertices:
+        inc = [e for e, _ in adj[v]]
+        for i, e in enumerate(inc):
+            for f in inc[i + 1:]:
+                if e == f:
+                    continue
+                arcs.add((("z", e), ("z", f)))
+                arcs.add((("z", f), ("z", e)))
+                arcs.add((("z", e), ("zp", f)))
+                arcs.add((("z", f), ("zp", e)))
+    tset = set(net.terminals)
+    sources = tuple(("z", e) for e, u, v in net.edges
+                    if u in tset or v in tset)
+    return GammoidInstance(digraph_from_arcs(nodes, arcs), sources,
+                           tuple(nodes))
 
 
 def edge_cut_gammoid(field: PrimeField, rng: random.Random,

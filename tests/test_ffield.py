@@ -13,7 +13,7 @@ from cutmimic.ffield import (
     PrimeFieldMatrix,
     is_prime,
     kronecker_column,
-    random_nonzero,
+    random_nonzeros,
     rank,
     select_independent_columns,
     vandermonde,
@@ -152,7 +152,8 @@ def test_random_matrix_mean_near_half_p():
 
 def test_random_nonzero():
     rng = random.Random(3)
-    assert all(0 < random_nonzero(rng, F7) < 7 for _ in range(50))
+    draws = random_nonzeros(rng, F7, 50)
+    assert len(draws) == 50 and all(0 < x < 7 for x in draws)
 
 
 def test_is_prime_known_values():

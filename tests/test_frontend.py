@@ -5,7 +5,11 @@ kernelization; the CLI is driven in process through cli(argv) with real
 files under tmp_path.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,10 @@ from cutmimic.oracles import min_multicut, min_multiway_cut
 from cutmimic.reducer import ReduceParams
 
 from conftest import path_network, random_connected_network, triangle
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+FIX01 = str(ROOT / "tests" / "fixtures" / "fix01.net")
 
 
 def singletons(net):
@@ -275,6 +283,29 @@ def test_cli_negative_exact_ceiling_exits_two(tmp_path, capsys):
     assert cli(["reduce", g, "--max-exact-n", "-1"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 2 and "refused" not in err
+
+
+def test_cli_negative_exact_ceiling_exits_two_for_the_heuristic(capsys):
+    # the heuristic tester never reads the ceiling, but the value is still
+    # malformed, and reduce refuses it whichever tester it runs
+    for cmd in ("tester", "reduce"):
+        assert cli([cmd, FIX01, "--tester", "heuristic",
+                    "--max-exact-n", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "refused" not in err
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    argv = ["tester", FIX01]
+    code = cli(argv)
+    want = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, os.environ.get("PYTHONPATH", "")]))
+    got = subprocess.run([sys.executable, "-m", "cutmimic", *argv],
+                         capture_output=True, text=True, env=env,
+                         cwd=ROOT, timeout=120)
+    assert (got.returncode, got.stdout, got.stderr) == (code, want.out,
+                                                        want.err)
 
 
 def test_cli_mark_lists_edges(tmp_path, capsys):

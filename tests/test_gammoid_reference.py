@@ -7,10 +7,11 @@ nodes with out-arcs and reads each sink's row of A off its pattern row.
 Both must return the same representation and leave the rng in the same
 state, or refuse alike, on every input and modulus.
 
-Two parts of that construction have references of their own: the packed
+Four parts of that construction have references of their own: the packed
 leading-block solve is checked against an elimination on lists of reduced
-entries, and the Digraph arc order (which fixes the draw order) against
-sorting the arcs by repr.
+entries, the edge-cut digraph builder against generating its arcs as a set,
+the node and arc order (which fix the draw order) against sorting by repr,
+and the batched pattern draws against one rng.randrange(1, p) per entry.
 """
 
 import random
@@ -22,18 +23,20 @@ from cutmimic.ffield import (
     MERSENNE61,
     PrimeField,
     PrimeFieldMatrix,
-    random_nonzero,
+    random_nonzeros,
 )
 from cutmimic.matroids import (
-    Digraph,
     MatroidRep,
     _slot_bits,
     _solve_leading_block,
+    _unpack,
     build_edge_cut_gammoid_digraph,
     gammoid_rep,
 )
+from cutmimic.netgraph import TerminalNetwork
 
 from conftest import random_connected_network
+from reference import digraph_from_arcs, reference_edge_cut_gammoid_digraph
 
 PRIMES = (MERSENNE61, 101, 11, 3)
 
@@ -49,9 +52,9 @@ def reference_gammoid_rep(field, rng, dg, sources, ground, retries=8):
         pat = PrimeFieldMatrix(field, n_rows, n_cols)
         for i, u in enumerate(non_src):
             base = i * n_cols
-            pat.data[base + col_pos[u]] = random_nonzero(rng, field)
+            pat.data[base + col_pos[u]] = rng.randrange(1, field.p)
             for w in dg.in_neighbors(u):
-                pat.data[base + col_pos[w]] = random_nonzero(rng, field)
+                pat.data[base + col_pos[w]] = rng.randrange(1, field.p)
         reduced = reference_row_reduce(pat)
         if reduced is None:
             continue
@@ -121,7 +124,7 @@ def test_edge_cut_gammoids_match_reference(p):
 
 def cycle_with_chords(nodes, chords):
     arcs = [(nodes[i], nodes[(i + 1) % len(nodes)]) for i in range(len(nodes))]
-    return Digraph(nodes, arcs + list(chords))
+    return digraph_from_arcs(nodes, arcs + list(chords))
 
 
 HAND_BUILT = {
@@ -129,15 +132,17 @@ HAND_BUILT = {
     "no-sinks": (cycle_with_chords("abcdef", [("a", "d"), ("e", "b")]),
                  ("a", "c"), tuple("abcdef")),
     # no sources: a square pattern, rank 0, still redrawn when singular
-    "no-sources": (Digraph(["u", "v", "w", "x"],
-                           [("u", "v"), ("v", "w"), ("w", "u"), ("v", "x")]),
+    "no-sources": (digraph_from_arcs(["u", "v", "w", "x"],
+                                     [("u", "v"), ("v", "w"), ("w", "u"),
+                                      ("v", "x")]),
                    (), ("u", "v", "w", "x")),
     "all-sources": (cycle_with_chords([1, 2, 3, 4], [(1, 3)]),
                     (1, 2, 3, 4), (4, 3, 2, 1)),
     # sinks of mixed kinds, ground a reordered subset of the nodes
     "reordered-subset": (
-        Digraph(range(9), [(0, 1), (1, 2), (2, 0), (0, 5), (1, 6), (2, 6),
-                           (3, 4), (4, 3), (3, 7), (4, 8), (2, 3)]),
+        digraph_from_arcs(range(9), [(0, 1), (1, 2), (2, 0), (0, 5), (1, 6),
+                                     (2, 6), (3, 4), (4, 3), (3, 7), (4, 8),
+                                     (2, 3)]),
         (0, 3), (8, 2, 6, 0, 5)),
 }
 
@@ -160,6 +165,72 @@ def test_arc_order_is_repr_order():
         digraphs.append(build_edge_cut_gammoid_digraph(net).digraph)
     for dg in digraphs:
         assert dg.arcs == tuple(sorted(dg.arcs, key=repr))
+
+
+def random_multigraph(rng):
+    """Up to 9 vertices and 30 edges with scattered ids (so str and int
+    order differ), a share of them parallel to an earlier edge, isolated
+    vertices and zero to three terminals."""
+    verts = list(range(1, rng.randint(1, 9) + 1))
+    edges = []
+    for eid in rng.sample(range(1, 400), rng.randint(0, 30)):
+        if edges and rng.random() < 0.3:
+            _, u, v = rng.choice(edges)
+        elif len(verts) >= 2:
+            u, v = rng.sample(verts, 2)
+        else:
+            break
+        edges.append((eid, u, v))
+    terms = rng.sample(verts, rng.randint(0, min(3, len(verts))))
+    return TerminalNetwork.build(verts, edges, terms)
+
+
+def test_builder_matches_arc_set_reference():
+    parallel = 0
+    for seed in range(300):
+        net = random_multigraph(random.Random(seed))
+        parallel += len({(u, v) for _, u, v in net.edges}) < net.m
+        got = build_edge_cut_gammoid_digraph(net)
+        want = reference_edge_cut_gammoid_digraph(net)
+        assert got.digraph.nodes == want.digraph.nodes
+        assert got.digraph.arcs == want.digraph.arcs
+        assert (got.sources, got.ground) == (want.sources, want.ground)
+        for v in want.digraph.nodes:
+            assert (got.digraph.in_neighbors(v)
+                    == want.digraph.in_neighbors(v))
+    assert parallel > 50
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_draws_match_randrange(p):
+    """The batched draws are rng.randrange(1, p) call for call: the same
+    values, in batches of any size, and the same rng state after them."""
+    field = PrimeField(p)
+    for seed in range(20):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 7, 500, 3):
+            want = [want_rng.randrange(1, p) for _ in range(count)]
+            assert random_nonzeros(got_rng, field, count) == want
+        assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("n", (0, 1, 4))
+@pytest.mark.parametrize("p", (11, 251))
+def test_sink_sum_at_the_slot_bound(p, n):
+    """A sink fed by s = 320 sources and by all n inner nodes, each inner
+    node fed by every source: the sink's packed sum holds one source entry
+    per slot plus n products of two reduced entries, at n = 0 too, where
+    the slots are the narrowest (16 bits at p = 11)."""
+    s = 320
+    srcs = [("s", i) for i in range(s)]
+    inner = [("i", j) for j in range(n)]
+    arcs = [(u, "y") for u in srcs + inner]
+    arcs += [(u, w) for w in inner for u in srcs]
+    arcs += [(inner[j], inner[(j + 1) % n]) for j in range(n) if n > 1]
+    dg = digraph_from_arcs([*srcs, *inner, "y", "y2"],
+                           arcs + [(srcs[0], "y2")])
+    for seed in range(10):
+        assert_same(p, seed, dg, srcs, dg.nodes)
 
 
 def reference_solve_leading_block(p, work, n):
@@ -195,7 +266,8 @@ def packed_solve(p, rows, n, s):
     size = _slot_bits(p, n) // 8
     work = [int.from_bytes(b"".join(x.to_bytes(size, "little") for x in row),
                            "little") for row in rows]
-    return _solve_leading_block(p, work, n, s)
+    out = _solve_leading_block(p, work, n, s)
+    return None if out is None else [_unpack(row, size, s) for row in out]
 
 
 def random_system(rng, p, n, s):

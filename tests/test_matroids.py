@@ -11,6 +11,7 @@ import pytest
 from cutmimic.errors import FieldTooSmallError, InputError
 from cutmimic.ffield import MERSENNE61, PrimeField, PrimeFieldMatrix, rank
 from cutmimic.matroids import (
+    Digraph,
     LayeredMatroid,
     build_edge_cut_gammoid_digraph,
     gammoid_rep,
@@ -115,6 +116,23 @@ class TestGraphic:
         for j in range(3):
             assert sum(inc.column(j)) % F.p == 0
         assert rank(inc) == net.n - 1
+
+
+class TestDigraph:
+    def test_keeps_node_and_in_list_order(self):
+        dg = Digraph({"b": ("c",), "a": ("c", "b"), "c": ()})
+        assert dg.nodes == ("b", "a", "c")
+        assert dg.in_neighbors("a") == ("c", "b")
+        assert dg.arcs == (("b", "a"), ("c", "b"), ("c", "a"))
+
+    @pytest.mark.parametrize("ins", (
+        {"a": ("b",)},                   # unknown node
+        {"a": ("a",)},                   # self-arc
+        {"a": (), "b": ("a", "a")},      # repeated arc
+    ))
+    def test_refuses_malformed_in_lists(self, ins):
+        with pytest.raises(InputError):
+            Digraph(ins)
 
 
 class TestGammoidDigraph:

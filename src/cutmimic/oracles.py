@@ -5,9 +5,18 @@ any size this package handles; partition counts and branch-and-bound searches
 are guarded by explicit ceilings and refuse rather than grind.
 
 Essentiality is decided by re-solving with the edge made undeletable
-(infinite capacity) and comparing values, never by enumerating witnesses.
+(infinite capacity) and comparing values, never by enumerating witnesses;
+only the edges of one minimum witness are re-solved, since that witness
+avoids every other edge.
 The witness enumerator and the isolating-cut 2-approximation that the tests
 check these solvers against are reference code in the test suite.
+
+Two kinds of work are done once per call, and nothing is kept between
+calls:
+- one branch-and-bound search builds the network's adjacency once and walks
+  it for every violating path it looks for;
+- `verify_mimicking` solves each distinct spot-check request set once per
+  network: a set drawn again was already found equal on both.
 """
 
 from __future__ import annotations
@@ -150,10 +159,12 @@ def is_multicut(net: TerminalNetwork, requests: CutRequests,
     return all(comp_of[u] != comp_of[v] for u, v in requests.pairs)
 
 
-def _violating_path(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
+def _violating_path(adj: dict[int, list[tuple[int, int]]],
+                    groups: Sequence[tuple[int, ...]],
                     X: set[int]) -> list[int] | None:
     """Edge ids of some shortest path joining two distinct groups in G - X,
-    or None. Multi-source BFS labeled by group index.
+    or None, where `adj` is G's adjacency. Multi-source BFS labeled by group
+    index.
     """
     label: dict[int, int] = {}
     parent: dict[int, tuple[int, int]] = {}
@@ -166,7 +177,6 @@ def _violating_path(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
                 continue
             label[t] = gi
             queue.append(t)
-    adj = net.adjacency()
     while queue:
         nxt: list[int] = []
         for x in queue:
@@ -204,26 +214,24 @@ def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
     """
     if not pair_list:
         return 0, ()
-    sep_groups = groups
-
-    def flow_between(i: int, j: int, X: frozenset[int]) -> int:
-        val, _ = _edge_flow(net, sep_groups[i], sep_groups[j],
-                            forbidden=forbidden, removed=X)
-        return val
+    if net.m > BB_EDGE_CEILING:
+        raise RefusedError(
+            f"{net.m} edges exceeds search ceiling {BB_EDGE_CEILING}")
 
     lb = 0
     for i, j in pair_list:
-        val = flow_between(i, j, frozenset())
+        val, _ = _edge_flow(net, groups[i], groups[j], forbidden=forbidden)
         if val >= INF // 2:
             return INF, None
         lb = max(lb, val)
+
+    adj = net.adjacency()
 
     def violating(X: set[int]) -> list[int] | None:
         # Shortest offending path over all request pairs.
         best: list[int] | None = None
         for i, j in pair_list:
-            path = _violating_path(
-                net, (sep_groups[i], sep_groups[j]), X)
+            path = _violating_path(adj, (groups[i], groups[j]), X)
             if path == []:
                 return []
             if path is not None and (best is None or len(path) < len(best)):
@@ -231,10 +239,6 @@ def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
                 if len(best) == 1:
                     break
         return best
-
-    if net.m > BB_EDGE_CEILING:
-        raise RefusedError(
-            f"{net.m} edges exceeds search ceiling {BB_EDGE_CEILING}")
 
     deletable = sum(1 for e in net.edge_ids() if e not in forbidden)
     for budget in range(lb, deletable + 1):
@@ -337,19 +341,17 @@ def essential_edges(net: TerminalNetwork) -> dict[Partition, tuple[int, ...]]:
     """Per partition, the edges present in every minimum multiway cut.
 
     An edge is essential iff making it undeletable (infinite capacity)
-    strictly raises the minimum value.
+    strictly raises the minimum value. Only the edges of one minimum witness
+    W are tried: W avoids every other edge, so none of those is in every
+    minimum cut. W is ascending, so each tuple is too.
     """
     _check_terminal_count(net)
     out: dict[Partition, tuple[int, ...]] = {}
     for part in all_partitions(net.terminals):
-        base, _ = _solve_multiway(net, part, frozenset())
-        ess: list[int] = []
-        if base > 0:
-            for e in net.edge_ids():
-                forced, _ = _solve_multiway(net, part, frozenset([e]))
-                if forced > base:
-                    ess.append(e)
-        out[part] = tuple(ess)
+        base, witness = _solve_multiway(net, part, frozenset())
+        out[part] = tuple(
+            e for e in witness
+            if _solve_multiway(net, part, frozenset([e]))[0] > base)
     return out
 
 
@@ -398,7 +400,9 @@ def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
                      spot_checks: int = 100, seed: int = 0) -> VerifyReport:
     """Partition-table equality between two networks on the same terminal
     set, plus randomized multicut spot checks (redundant with the table by
-    the partition correspondence; kept as an independent route).
+    the partition correspondence; kept as an independent route). Each
+    distinct drawn request set is solved once per network; a repeat draw
+    was already found equal, so the first mismatch is the same.
     """
     if set(net.terminals) != set(other.terminals):
         raise InputError("networks must share the terminal set")
@@ -413,19 +417,21 @@ def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
     terms = sorted(net.terminals)
     pairs = [(a, b) for i, a in enumerate(terms) for b in terms[i + 1:]]
     rng = random.Random(seed)
+    compared: set[int] = set()  # masks of the request sets found equal
     for _ in range(spot_checks):
         if not pairs:
             break
         mask = rng.getrandbits(len(pairs))
-        chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
-        if not chosen:
+        if not mask or mask in compared:
             continue
+        chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
         req = CutRequests.of(terms, chosen)
         v1, _ = min_multicut(net, req)
         v2, _ = min_multicut(other, req)
         if v1 != v2:
             text = " ".join(f"{a}-{b}" for a, b in chosen)
             return VerifyReport(False, f"requests {text}: {v1} vs {v2}")
+        compared.add(mask)
     return VerifyReport(True)
 
 

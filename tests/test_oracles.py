@@ -6,10 +6,13 @@ no shared code with the module under test.
 """
 
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cutmimic import oracles
 from cutmimic.errors import InputError, InternalError, RefusedError
 from cutmimic.netgraph import (
     CutRequests,
@@ -19,6 +22,7 @@ from cutmimic.netgraph import (
 )
 from cutmimic.oracles import (
     CutValueTable,
+    VerifyReport,
     closest_min_cut,
     cut_covering_set,
     cut_value_table,
@@ -33,6 +37,7 @@ from cutmimic.oracles import (
 )
 
 from conftest import path_network, random_connected_network, triangle
+from record_search_witnesses import FIXTURE, masked_pairs, request_masks
 from reference import (
     enumerate_minimum_multiway_cuts,
     isolating_cut_values,
@@ -154,6 +159,49 @@ def test_multiway_refuses_above_edge_ceiling(monkeypatch):
         min_multiway_cut(c4(), singletons(c4()))
 
 
+def test_search_refuses_before_any_flow(monkeypatch):
+    # the lower-bound flows are not run on a graph the search then refuses
+    calls = []
+    real = oracles._edge_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("cutmimic.oracles._edge_flow", counting)
+    monkeypatch.setattr("cutmimic.oracles.BB_EDGE_CEILING", 3)
+    net = c4()
+    with pytest.raises(RefusedError, match="exceeds search ceiling 3"):
+        min_multiway_cut(net, singletons(net))
+    with pytest.raises(RefusedError, match="exceeds search ceiling 3"):
+        min_multicut(net, CutRequests.of((1, 2, 3, 4), [(1, 2), (3, 4)]))
+    assert calls == []
+
+
+def test_search_witnesses_match_recording():
+    """Values and witnesses of the branch-and-bound search on 30 corpus
+    networks, recorded by tests/record_search_witnesses.py: every partition
+    with at least 3 blocks and every request set of at least 2 pairs."""
+    cases = json.loads(FIXTURE.read_text())
+    assert len(cases) == 30
+    for case in cases:
+        terms = case["terminals"]
+        net = TerminalNetwork.build(
+            case["vertices"], [tuple(e) for e in case["edges"]], terms)
+        parts = sorted((p for p in all_partitions(terms) if len(p.blocks) >= 3),
+                       key=lambda p: p.to_text())
+        assert [row[0] for row in case["multiway"]] == \
+            [p.to_text() for p in parts]
+        for text, value, witness in case["multiway"]:
+            got = min_multiway_cut(net, Partition.from_text(terms, text))
+            assert got == (value, tuple(witness)), (case["seed"], text)
+        assert [row[0] for row in case["multicut"]] == request_masks(terms)
+        for mask, value, witness in case["multicut"]:
+            req = CutRequests.of(terms, masked_pairs(terms, mask))
+            got = min_multicut(net, req)
+            assert got == (value, tuple(witness)), (case["seed"], mask)
+
+
 # minimum multicut
 
 
@@ -182,6 +230,31 @@ def test_multicut_equals_multiway_on_cross_block_pairs():
                 continue
             req = CutRequests.of(terms, pairs)
             assert min_multicut(net, req)[0] == min_multiway_cut(net, part)[0]
+
+
+@st.composite
+def request_instances(draw):
+    seed = draw(st.integers(0, 2 ** 32))
+    t = draw(st.integers(2, 4))
+    net = random_connected_network(
+        random.Random(seed), n_lo=t, n_hi=7, extra_hi=3, n_terminals=t)
+    terms = sorted(net.terminals)
+    chosen = draw(st.lists(
+        st.sampled_from(list(itertools.combinations(terms, 2))),
+        min_size=1, unique=True))
+    return net, CutRequests.of(terms, chosen)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(request_instances())
+def test_multicut_is_least_multiway_cut_over_separating_partitions(inst):
+    # the partition correspondence: the two routes verify_mimicking compares
+    net, req = inst
+    best = min(min_multiway_cut(net, part)[0]
+               for part in all_partitions(net.terminals)
+               if all(part.block_of(a) != part.block_of(b)
+                      for a, b in req.pairs))
+    assert min_multicut(net, req)[0] == best
 
 
 # essential edges
@@ -444,6 +517,71 @@ def test_verify_missing_bridge_names_partition():
     assert not report.ok
     assert report.partition == Partition.of((0, 2), [[0], [2]])
     assert "0|2" in report.detail and "1 vs 0" in report.detail
+
+
+def count_multicut_calls(monkeypatch):
+    calls = []
+    real = oracles.min_multicut
+
+    def counting(net, requests):
+        calls.append(requests.pairs)
+        return real(net, requests)
+
+    monkeypatch.setattr("cutmimic.oracles.min_multicut", counting)
+    return calls
+
+
+def drawn_masks(n_pairs, spot_checks, seed):
+    rng = random.Random(seed)
+    return [rng.getrandbits(n_pairs) for _ in range(spot_checks)]
+
+
+def test_verify_solves_each_distinct_request_set_once_per_network(monkeypatch):
+    calls = count_multicut_calls(monkeypatch)
+    for net in (path_network(2), triangle(), star3(), c4()):
+        calls.clear()
+        assert verify_mimicking(net, net, seed=3).ok
+        n_pairs = len(net.terminals) * (len(net.terminals) - 1) // 2
+        distinct = set(drawn_masks(n_pairs, 100, 3)) - {0}
+        assert len(calls) == 2 * len(distinct)
+        assert len(set(calls)) == len(distinct)
+
+
+def undeduplicated_verify(net, other, spot_checks=100, seed=0):
+    # verify_mimicking's loop before deduplication, table check left out
+    terms = sorted(net.terminals)
+    pairs = list(itertools.combinations(terms, 2))
+    for mask in drawn_masks(len(pairs), spot_checks, seed):
+        chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        if not chosen:
+            continue
+        req = CutRequests.of(terms, chosen)
+        v1, v2 = min_multicut(net, req)[0], min_multicut(other, req)[0]
+        if v1 != v2:
+            text = " ".join(f"{a}-{b}" for a, b in chosen)
+            return VerifyReport(False, f"requests {text}: {v1} vs {v2}")
+    return VerifyReport(True)
+
+
+def test_verify_dedup_reports_first_mismatch_in_draw_order(monkeypatch):
+    # the table is made to agree, so only a spot check can tell the path
+    # 1-2-3 from the same path with edge 1-2 doubled: exactly the request
+    # sets holding 1-2 differ
+    net = TerminalNetwork.build([1, 2, 3], [(1, 1, 2), (2, 2, 3)], (1, 2, 3))
+    doubled = TerminalNetwork.build(
+        [1, 2, 3], [(1, 1, 2), (2, 2, 3), (3, 1, 2)], (1, 2, 3))
+    monkeypatch.setattr("cutmimic.oracles.min_multiway_cut",
+                        lambda *args: (0, ()))
+    for seed in range(10):
+        expected = undeduplicated_verify(net, doubled, seed=seed)
+        assert not expected.ok
+        assert verify_mimicking(net, doubled, seed=seed) == expected, seed
+    # seed 6 draws {1-3, 2-3}, {2-3}, {1-3, 2-3} again, nothing, {1-2, 1-3}
+    assert drawn_masks(3, 5, 6) == [6, 4, 6, 0, 3]
+    calls = count_multicut_calls(monkeypatch)
+    report = verify_mimicking(net, doubled, seed=6)
+    assert report.detail == "requests 1-2 1-3: 1 vs 2"
+    assert len(calls) == 2 * 3
 
 
 def test_verify_requires_same_terminals():

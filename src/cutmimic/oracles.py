@@ -11,10 +11,15 @@ avoids every other edge.
 The witness enumerator and the isolating-cut 2-approximation that the tests
 check these solvers against are reference code in the test suite.
 
-Two kinds of work are done once per call, and nothing is kept between
-calls:
-- one branch-and-bound search builds the network's adjacency once and walks
-  it for every violating path it looks for;
+Work done once per call, with nothing kept between calls:
+- one branch-and-bound search indexes the network once (vertex positions,
+  one bit per edge, so an edge set is one int) and finds each edge set's
+  shortest violating path once: one memo serves every deepening round, and
+  a request pair found separated stays skipped for the set's supersets;
+- it runs no lower-bound flows: rounds below the optimum fail whatever
+  budget they start from, so deepening starts at 0, and the impossible case
+  (a pair joined by undeletable edges alone) is found first by one
+  `components` pass over the network minus its deletable edges;
 - `verify_mimicking` solves each distinct spot-check request set once per
   network: a set drawn again was already found equal on both.
 """
@@ -45,14 +50,13 @@ MAX_ORACLE_TERMINALS = 5
 # -- max flow with removable / undeletable edges -----------------------------
 
 def _edge_flow(net: TerminalNetwork, A: Iterable[int], B: Iterable[int],
-               forbidden: frozenset[int] = frozenset(),
-               removed: frozenset[int] = frozenset()) -> tuple[int, frozenset[int]]:
+               forbidden: frozenset[int] = frozenset()
+               ) -> tuple[int, frozenset[int]]:
     """Unit-capacity undirected max flow from vertex set A to vertex set B.
 
-    Edges in `removed` are absent; edges in `forbidden` have infinite
-    capacity (they can never be cut). Returns (value, residual-reachable
-    vertex set from A); value is INF when A and B stay connected through
-    forbidden edges alone.
+    Edges in `forbidden` have infinite capacity (they can never be cut).
+    Returns (value, residual-reachable vertex set from A); value is INF when
+    A and B stay connected through forbidden edges alone.
     """
     aset, bset = set(A), set(B)
     vset = set(net.vertices)
@@ -68,8 +72,6 @@ def _edge_flow(net: TerminalNetwork, A: Iterable[int], B: Iterable[int],
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in net.vertices}
     rem: dict[int, dict[int, int]] = {}
     for eid, u, v in net.edges:
-        if eid in removed:
-            continue
         c = INF if eid in forbidden else 1
         rem[eid] = {u: c, v: c}
         incident[u].append((eid, v))
@@ -159,47 +161,45 @@ def is_multicut(net: TerminalNetwork, requests: CutRequests,
     return all(comp_of[u] != comp_of[v] for u, v in requests.pairs)
 
 
-def _violating_path(adj: dict[int, list[tuple[int, int]]],
-                    groups: Sequence[tuple[int, ...]],
-                    X: set[int]) -> list[int] | None:
-    """Edge ids of some shortest path joining two distinct groups in G - X,
-    or None, where `adj` is G's adjacency. Multi-source BFS labeled by group
-    index.
+def _violating_path(adj: list[list[tuple[int, int]]], left: Sequence[int],
+                    right: Sequence[int], X: int) -> list[int] | None:
+    """Edge bits of some shortest path joining `left` to `right` in G - X,
+    in path order, or None. `adj` lists (edge bit, neighbour) per vertex
+    position, X is a mask of edge bits and the groups are disjoint lists of
+    positions. Multi-source BFS labeled by group.
     """
-    label: dict[int, int] = {}
-    parent: dict[int, tuple[int, int]] = {}
+    label = [0] * len(adj)
+    up_vertex = [0] * len(adj)
+    up_edge = [0] * len(adj)  # 0 at a source: every edge bit is nonzero
     queue: list[int] = []
-    for gi, group in enumerate(groups):
+    for mark, group in ((1, left), (2, right)):
         for t in group:
-            if t in label:
-                if label[t] != gi:
-                    return []  # two groups share a vertex: unbreakable overlap
-                continue
-            label[t] = gi
+            label[t] = mark
             queue.append(t)
     while queue:
         nxt: list[int] = []
         for x in queue:
-            for eid, y in adj[x]:
-                if eid in X:
+            for bit, y in adj[x]:
+                if bit & X:
                     continue
-                if y not in label:
+                if not label[y]:
                     label[y] = label[x]
-                    parent[y] = (x, eid)
+                    up_vertex[y] = x
+                    up_edge[y] = bit
                     nxt.append(y)
                 elif label[y] != label[x]:
-                    left = _walk_up(parent, x)
-                    right = _walk_up(parent, y)
-                    return left[::-1] + [eid] + right
+                    head = _walk_up(up_vertex, up_edge, x)
+                    tail = _walk_up(up_vertex, up_edge, y)
+                    return head[::-1] + [bit] + tail
         queue = nxt
     return None
 
 
-def _walk_up(parent: dict[int, tuple[int, int]], v: int) -> list[int]:
+def _walk_up(up_vertex: list[int], up_edge: list[int], v: int) -> list[int]:
     out = []
-    while v in parent:
-        v, eid = parent[v]
-        out.append(eid)
+    while up_edge[v]:
+        out.append(up_edge[v])
+        v = up_vertex[v]
     return out
 
 
@@ -217,54 +217,73 @@ def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
     if net.m > BB_EDGE_CEILING:
         raise RefusedError(
             f"{net.m} edges exceeds search ceiling {BB_EDGE_CEILING}")
-
-    lb = 0
-    for i, j in pair_list:
-        val, _ = _edge_flow(net, groups[i], groups[j], forbidden=forbidden)
-        if val >= INF // 2:
-            return INF, None
-        lb = max(lb, val)
-
-    adj = net.adjacency()
-
-    def violating(X: set[int]) -> list[int] | None:
-        # Shortest offending path over all request pairs.
-        best: list[int] | None = None
+    if forbidden:  # a pair joined by forbidden edges alone cannot be cut
+        deletable = [e for e in net.edge_ids() if e not in forbidden]
+        comp_of = {v: c for c, comp in enumerate(components(net, deletable))
+                   for v in comp}
         for i, j in pair_list:
-            path = _violating_path(adj, (groups[i], groups[j]), X)
-            if path == []:
-                return []
-            if path is not None and (best is None or len(path) < len(best)):
+            if {comp_of[v] for v in groups[i]} & \
+                    {comp_of[v] for v in groups[j]}:
+                return INF, None
+
+    pos = {v: i for i, v in enumerate(net.vertices)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in net.vertices]
+    fixed = 0  # bits of the forbidden edges
+    for i, (eid, u, v) in enumerate(net.edges):
+        adj[pos[u]].append((1 << i, pos[v]))
+        adj[pos[v]].append((1 << i, pos[u]))
+        if eid in forbidden:
+            fixed |= 1 << i
+    pairs = [([pos[v] for v in groups[i]], [pos[v] for v in groups[j]])
+             for i, j in pair_list]
+
+    # edge set -> (deletable bits of its shortest violating path, in path
+    # order, or None when it separates every pair; mask of separated pairs)
+    memo: dict[int, tuple[list[int] | None, int]] = {}
+
+    def violating(X: int, sep: int) -> tuple[list[int] | None, int]:
+        # Shortest offending path over the pairs not yet separated.
+        best: list[int] | None = None
+        for k, (left, right) in enumerate(pairs):
+            if sep >> k & 1:
+                continue
+            path = _violating_path(adj, left, right, X)
+            if path is None:
+                sep |= 1 << k
+            elif best is None or len(path) < len(best):
                 best = path
                 if len(best) == 1:
                     break
-        return best
+        if best is not None:
+            best = [bit for bit in best if not bit & fixed]
+        return best, sep
 
-    deletable = sum(1 for e in net.edge_ids() if e not in forbidden)
-    for budget in range(lb, deletable + 1):
-        visited: set[frozenset[int]] = set()
-
-        def dfs(X: frozenset[int], remaining: int) -> frozenset[int] | None:
-            path = violating(set(X))
-            if path is None:
-                return X
-            if path == [] or remaining == 0:
-                return None
-            for eid in path:
-                if eid in forbidden:
-                    continue
-                nxt = X | {eid}
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                got = dfs(nxt, remaining - 1)
-                if got is not None:
-                    return got
+    def dfs(X: int, sep: int, remaining: int) -> int | None:
+        got = memo.get(X)
+        if got is None:
+            got = memo[X] = violating(X, sep)
+        branch, sep = got
+        if branch is None:
+            return X
+        if remaining == 0:
             return None
+        for bit in branch:
+            nxt = X | bit
+            if nxt in visited:
+                continue
+            visited.add(nxt)
+            found = dfs(nxt, sep, remaining - 1)
+            if found is not None:
+                return found
+        return None
 
-        res = dfs(frozenset(), budget)
+    for budget in range(net.m + 1):
+        visited: set[int] = set()
+        res = dfs(0, 0, budget)
         if res is not None:
-            return len(res), tuple(sorted(res))
+            witness = tuple(sorted(eid for i, (eid, _, _)
+                                   in enumerate(net.edges) if res >> i & 1))
+            return len(witness), witness
     return INF, None
 
 

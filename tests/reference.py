@@ -2,7 +2,8 @@
 
 None of this runs in the CLI. Each definition is either an independent
 route to a result the engine computes another way (gammoid independence by
-disjoint paths, all minimum witnesses by subset search, the general-form
+disjoint paths, all minimum witnesses by subset search, the least
+separating edge sets by subset search with no oracle code, the general-form
 representative set, the edge-cut digraph from its generated arc set) or a
 construction a gate measures the engine against (the isolating-cut
 2-approximation, the covering condition), plus the arc-list constructor
@@ -301,6 +302,39 @@ def enumerate_minimum_multiway_cuts(net: TerminalNetwork, part: Partition,
         raise RefusedError("witness enumeration would be too large")
     return tuple(X for X in combinations(net.edge_ids(), value)
                  if is_multiway_cut(net, part, X))
+
+
+def smallest_separating_edge_sets(net: TerminalNetwork,
+                                  pairs: Iterable[tuple[int, int]]
+                                  ) -> tuple[int, frozenset[frozenset[int]]]:
+    """The least k such that deleting some k edges puts every vertex pair
+    in `pairs` in different components, and every such k-subset of edge
+    ids, by subset search with a local union-find: no oracle code runs.
+    """
+    pairs = list(pairs)
+    for k in range(net.m + 1):
+        found = frozenset(frozenset(X)
+                          for X in combinations(net.edge_ids(), k)
+                          if _separates(net, set(X), pairs))
+        if found:
+            return k, found
+    raise InputError("some pair shares a vertex: no edge set separates it")
+
+
+def _separates(net: TerminalNetwork, X: set[int],
+               pairs: Sequence[tuple[int, int]]) -> bool:
+    root = {v: v for v in net.vertices}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for eid, u, v in net.edges:
+        if eid not in X:
+            root[find(u)] = find(v)
+    return all(find(u) != find(v) for u, v in pairs)
 
 
 def two_approx_multicut_cover(net: TerminalNetwork, part: Partition

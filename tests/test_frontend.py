@@ -5,13 +5,18 @@ kernelization; the CLI is driven in process through cli(argv) with real
 files under tmp_path.
 """
 
+import contextlib
+import io
+import itertools
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutmimic import frontend
 from cutmimic.errors import InputError
@@ -404,3 +409,73 @@ def test_cli_malformed_input_exits_two(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
     assert cli(["reduce", str(tmp_path / "missing.net")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+MALFORMED_NETWORKS = (
+    "",                                    # no header
+    "p tn x 1 2\n",                        # non-integer header field
+    "p tn 2 1 2\nt 1\nt 2\n",              # declared edge missing
+    "p tn 2 1 2\nt 1\nt 2\ne 1 0\n",       # vertex id 0
+    "p tn 3 1 1\nt 1\ne 1 2\nq 3\n",       # unknown line type
+)
+MALFORMED_REQUESTS = ("r 1\n", "r 1 1\n", "x 1 2\n", "r 99 1\n")
+KNOBS = ("--seed", "--prime", "--c", "--i0", "--threshold", "--max-exact-n")
+
+
+@st.composite
+def cli_calls(draw):
+    """A command line over small seeded networks, with the files' texts:
+    some files malformed, some knobs small or negative."""
+    t = draw(st.integers(1, 4))
+    net = random_connected_network(
+        random.Random(draw(st.integers(0, 2 ** 32))),
+        n_lo=max(2, t), n_hi=7, extra_hi=3, n_terminals=t)
+    graphs = [draw(st.one_of(st.just(format_network(net)),
+                             st.sampled_from(MALFORMED_NETWORKS)))
+              for _ in range(2)]
+    terms = sorted(net.terminals)
+    pairs = list(itertools.combinations(terms, 2))
+    requests = draw(st.one_of(
+        st.lists(st.sampled_from(pairs), unique=True).map(
+            lambda chosen: "".join(f"r {a} {b}\n" for a, b in chosen))
+        if pairs else st.just(""),
+        st.sampled_from(MALFORMED_REQUESTS)))
+    cmd = draw(st.sampled_from(
+        ("reduce", "verify", "oracle mc", "oracle mwc", "kernelize mwc")))
+    argv = cmd.split() + ["{g0}"]
+    if cmd == "verify":
+        argv.append("{g1}")
+    elif cmd == "oracle mc":
+        argv += ["--requests", "{req}"]
+    elif cmd == "oracle mwc":
+        argv += ["--partition", draw(st.sampled_from((
+            "|".join(map(str, terms)), ",".join(map(str, terms)),
+            "1|2", "1,1")))]
+    elif cmd == "kernelize mwc" and draw(st.booleans()):
+        argv += ["--budget", str(draw(st.integers(-1, 4)))]
+    for knob in draw(st.lists(st.sampled_from(KNOBS), max_size=3, unique=True)):
+        argv += [knob, str(draw(st.integers(-3, 5)))]
+    return argv, graphs, requests
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(cli_calls())
+def test_cli_exit_codes_property(call):
+    # in process: every call returns a documented exit code and raises
+    # nothing, and a malformed graph file is bad input whatever the command
+    argv, graphs, requests = call
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"g0": os.path.join(tmp, "g0.net"),
+                 "g1": os.path.join(tmp, "g1.net"),
+                 "req": os.path.join(tmp, "r.req")}
+        for key, text in zip(("g0", "g1", "req"), (*graphs, requests)):
+            with open(paths[key], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [arg.format(**paths) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli(argv)
+    assert code in (0, 1, 2, 3, 4), argv
+    used = graphs if argv[0] == "verify" else graphs[:1]
+    if any(text in MALFORMED_NETWORKS for text in used):
+        assert code == 2, argv

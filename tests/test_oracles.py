@@ -41,6 +41,7 @@ from record_search_witnesses import FIXTURE, masked_pairs, request_masks
 from reference import (
     enumerate_minimum_multiway_cuts,
     isolating_cut_values,
+    smallest_separating_edge_sets,
     two_approx_multicut_cover,
 )
 
@@ -159,8 +160,7 @@ def test_multiway_refuses_above_edge_ceiling(monkeypatch):
         min_multiway_cut(c4(), singletons(c4()))
 
 
-def test_search_refuses_before_any_flow(monkeypatch):
-    # the lower-bound flows are not run on a graph the search then refuses
+def count_flow_calls(monkeypatch):
     calls = []
     real = oracles._edge_flow
 
@@ -169,6 +169,12 @@ def test_search_refuses_before_any_flow(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr("cutmimic.oracles._edge_flow", counting)
+    return calls
+
+
+def test_search_refuses_before_any_flow(monkeypatch):
+    # a graph over the search ceiling is refused before any other work
+    calls = count_flow_calls(monkeypatch)
     monkeypatch.setattr("cutmimic.oracles.BB_EDGE_CEILING", 3)
     net = c4()
     with pytest.raises(RefusedError, match="exceeds search ceiling 3"):
@@ -176,6 +182,77 @@ def test_search_refuses_before_any_flow(monkeypatch):
     with pytest.raises(RefusedError, match="exceeds search ceiling 3"):
         min_multicut(net, CutRequests.of((1, 2, 3, 4), [(1, 2), (3, 4)]))
     assert calls == []
+
+
+def test_search_runs_no_flow(monkeypatch):
+    # the search starts deepening at budget 0: no lower-bound flows
+    calls = count_flow_calls(monkeypatch)
+    for seed in range(8):
+        rng = random.Random(800 + seed)
+        net = random_connected_network(
+            rng, n_lo=4, n_hi=8, extra_hi=3, n_terminals=rng.choice([3, 4]))
+        terms = sorted(net.terminals)
+        for part in all_partitions(terms):
+            if len(part.blocks) >= 3:
+                min_multiway_cut(net, part)
+        pairs = list(itertools.combinations(terms, 2))
+        for chosen in (pairs[:2], pairs[1:], pairs):
+            min_multicut(net, CutRequests.of(terms, chosen))
+    assert calls == []
+
+
+def test_search_impossible_when_forbidden_edges_join_two_blocks():
+    net = triangle()
+    part = singletons(net)
+    assert essential_edges(net)[part] == (1, 2, 3)
+    for e in (1, 2, 3):  # each edge joins two singleton blocks
+        assert oracles._solve_multiway(net, part, frozenset([e])) == \
+            (oracles.INF, None)
+    # two forbidden edges join all three terminals; so does a forbidden
+    # path through a non-terminal
+    assert oracles._solve_multiway(net, part, frozenset([1, 2]))[0] == \
+        oracles.INF
+    star = star3()
+    assert oracles._solve_multiway(star, singletons(star),
+                                   frozenset([1, 2]))[0] == oracles.INF
+    # a forbidden edge that joins no two blocks leaves a finite cut
+    assert oracles._solve_multiway(star, singletons(star),
+                                   frozenset([1])) == (2, (2, 3))
+
+
+@st.composite
+def small_search_instances(draw):
+    # 3-4 terminals and m <= 5 + 4 edges, small enough for subset search
+    seed = draw(st.integers(0, 2 ** 32))
+    t = draw(st.integers(3, 4))
+    return random_connected_network(
+        random.Random(seed), n_lo=t, n_hi=6, extra_hi=4, n_terminals=t)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_search_instances(), st.data())
+def test_multicut_search_matches_subset_search(net, data):
+    terms = sorted(net.terminals)
+    pairs = data.draw(st.lists(
+        st.sampled_from(list(itertools.combinations(terms, 2))),
+        min_size=2, unique=True))
+    value, witness = min_multicut(net, CutRequests.of(terms, pairs))
+    least, sets = smallest_separating_edge_sets(net, pairs)
+    assert value == least
+    assert frozenset(witness) in sets and len(witness) == value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_search_instances(), st.data())
+def test_multiway_search_matches_subset_search(net, data):
+    parts = [p for p in all_partitions(net.terminals) if len(p.blocks) >= 3]
+    part = data.draw(st.sampled_from(parts))
+    value, witness = min_multiway_cut(net, part)
+    cross = [(a, b) for a, b in itertools.combinations(sorted(net.terminals), 2)
+             if part.block_of(a) != part.block_of(b)]
+    least, sets = smallest_separating_edge_sets(net, cross)
+    assert value == least
+    assert frozenset(witness) in sets and len(witness) == value
 
 
 def test_search_witnesses_match_recording():

@@ -26,14 +26,21 @@ from .errors import FieldTooSmallError, InputError, RefusedError
 
 MERSENNE61 = (1 << 61) - 1
 
-# Deterministic Miller-Rabin witness set, exact for all n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the first 13 primes decide every
+# n below MR_EXACT_BELOW exactly. The bound itself is a composite that all
+# 13 bases pass, so is_prime refuses it and everything above.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= MR_EXACT_BELOW:
+        raise InputError(
+            f"cannot decide whether {n} is prime: the test is exact only "
+            f"below {MR_EXACT_BELOW}")
+    for small in _MR_BASES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 NO-instance (and DIFFER from verify), 2 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -169,21 +170,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _mark_params(args: argparse.Namespace) -> MarkParams:
-    kwargs: dict = dict(field=PrimeField(args.prime), seed=args.seed)
-    if args.c is not None:
-        kwargs["c"] = args.c
-    if args.i0 is not None:
-        kwargs["i0"] = args.i0
-    return MarkParams(**kwargs)
+    return MarkParams(field=PrimeField(args.prime), seed=args.seed,
+                      c=args.c, i0=args.i0)
 
 
 def _reduce_params(args: argparse.Namespace) -> ReduceParams:
-    kwargs = dict(tester=args.tester, mark=_mark_params(args))
-    if args.threshold is not None:
-        kwargs["threshold"] = args.threshold
-    if args.max_exact_n is not None:
-        kwargs["exact_ceiling"] = args.max_exact_n
-    return ReduceParams(**kwargs)
+    return ReduceParams(tester=args.tester, mark=_mark_params(args),
+                        threshold=args.threshold,
+                        exact_ceiling=args.max_exact_n)
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -204,14 +198,12 @@ def _cmd_mark(args: argparse.Namespace) -> int:
 
 def _cmd_tester(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.graph))
-    ceiling = (args.max_exact_n if args.max_exact_n is not None
-               else DEFAULT_EXACT_CEILING)
+    ceiling = args.max_exact_n
     if ceiling < 0:  # malformed whichever tester runs, as for reduce
         raise InputError(f"exact tester ceiling must be >= 0, got {ceiling}")
     c = args.c
     if c is None:
-        i0 = args.i0 if args.i0 is not None else DEFAULT_I0
-        c = default_c(terminal_capacity(net), i0)
+        c = default_c(terminal_capacity(net), args.i0)
     if args.tester == "exact":
         verdict = exact_tester(net, c, ceiling)
     else:
@@ -296,16 +288,19 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     raise InputError(f"unknown kernelize target {args.what!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first cli() call and reused after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, metavar="U64")
     common.add_argument("--prime", type=int, default=PrimeField().p)
     common.add_argument("--c", type=int, default=None)
-    common.add_argument("--i0", type=int, default=None)
+    common.add_argument("--i0", type=int, default=DEFAULT_I0)
     common.add_argument("--threshold", type=int, default=None)
     common.add_argument("--tester", choices=("exact", "heuristic"),
                         default="exact")
-    common.add_argument("--max-exact-n", type=int, default=None)
+    common.add_argument("--max-exact-n", type=int,
+                        default=DEFAULT_EXACT_CEILING)
     common.add_argument("--out", default=None, metavar="PATH")
     common.add_argument("--trace", default=None, metavar="PATH")
 
@@ -316,20 +311,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", parents=[common])
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("mark", parents=[common])
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_mark)
 
     p = sub.add_parser("tester", parents=[common])
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_tester)
 
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("graph")
     p.add_argument("other")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", parents=[common])
     p.add_argument("what", choices=("mwc", "mc", "essential", "cutcover"))
@@ -337,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", default=None,
                    help="blocks as '1,3|2' over the terminal ids")
     p.add_argument("--requests", default=None, metavar="PATH")
-    p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("kernelize", parents=[common])
     p.add_argument("what", choices=("mwc", "multicut"))
@@ -345,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--requests", default=None, metavar="PATH")
     p.add_argument("--requests-out", default=None, metavar="PATH")
-    p.set_defaults(func=_cmd_kernelize)
     return top
 
 
@@ -353,7 +342,8 @@ def cli(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up per call, so a replaced _cmd_* function takes effect
+        return globals()[f"_cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

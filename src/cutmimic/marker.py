@@ -21,7 +21,7 @@ from .matroids import (
     uniform_rep,
 )
 from .netgraph import TerminalNetwork, terminal_capacity
-from .repset import CandidateFamily, representative_set_product
+from .repset import representative_set_product
 
 DEFAULT_I0 = 4
 GRAPHIC_CAP_CEILING = 256
@@ -136,15 +136,11 @@ def mark(net: TerminalNetwork, params: MarkParams) -> MarkResult:
             forced.append(e)
         else:
             tuples.append(t)
-    family = CandidateFamily.product(tuples)
-    kept = representative_set_product(layered, family, params.tensor_limit)
-    survivors = {t[-1] for t in kept.sets}  # the uniform slot carries the id
+    kept = representative_set_product(layered, tuples)
+    survivors = {t[-1] for t in kept}  # the uniform slot carries the id
     marked = tuple(sorted(survivors.union(forced)))
-    # The rank bounds cover the survivors; forced edges come on top.
-    bound = layered.rank_product()
-    if len(survivors) > bound:
-        raise InternalError(
-            f"{len(survivors)} survivors exceed the rank product {bound}")
+    # The rank bounds (the rank product, checked in repset, and the loose
+    # bound here) cover the survivors; forced edges come on top.
     assert params.c is not None and params.graphic_rank_cap is not None
     loose = k * params.graphic_rank_cap * k ** (params.i0 - 1)
     if len(survivors) > loose:

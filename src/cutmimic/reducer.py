@@ -103,8 +103,6 @@ def mimicking_network(net: TerminalNetwork, params: ReduceParams
     if k < 1:
         raise InputError("terminals must have positive capacity")
     c = params.mark.c if params.mark.c is not None else default_c(k, params.mark.i0)
-    if c < params.mark.i0:
-        raise InputError(f"c ={c} below i0 ={params.mark.i0}")
     mark_base = replace(params.mark, c=c)
     rng = random.Random(params.mark.seed)
     final, events = _reduce(net, params, mark_base, c, rng, depth=0)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from cutmimic.netgraph import TerminalNetwork
 
 
@@ -60,3 +62,20 @@ def path_network(length: int, extra_terminals: tuple[int, ...] = ()
 def triangle(terminals: tuple[int, ...] = (1, 2, 3)) -> TerminalNetwork:
     return TerminalNetwork.build(
         [1, 2, 3], [(1, 1, 2), (2, 2, 3), (3, 3, 1)], terminals)
+
+
+@st.composite
+def connected_terminal_networks(draw, n_lo: int = 4, n_hi: int = 12,
+                                t_lo: int = 2, t_hi: int = 4
+                                ) -> TerminalNetwork:
+    """Hypothesis strategy: a random spanning tree on n_lo..n_hi vertices
+    plus up to n extra (possibly parallel) edges, with t_lo..t_hi terminals.
+    """
+    n = draw(st.integers(n_lo, n_hi))
+    edges = [(v - 1, draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                          .filter(lambda uv: uv[0] != uv[1]), max_size=n))
+    edges += [(len(edges) + i, u, v) for i, (u, v) in enumerate(extra, 1)]
+    terms = draw(st.lists(st.integers(1, n), min_size=t_lo,
+                          max_size=min(t_hi, n), unique=True))
+    return TerminalNetwork.build(range(1, n + 1), edges, terms)

@@ -48,7 +48,6 @@ from cutmimic.oracles import (
     min_multiway_cut,
 )
 from cutmimic.reducer import ReduceParams, ReductionTrace, mimicking_network
-from cutmimic.repset import CandidateFamily
 
 
 # -- fields and matrices -----------------------------------------------------
@@ -200,9 +199,9 @@ def is_independent_by_flow(dg: Digraph, sources: Sequence[Node],
 # -- representative sets -----------------------------------------------------
 
 def representative_set_general(matrix: PrimeFieldMatrix,
-                               family: CandidateFamily,
-                               r: int | None = None) -> CandidateFamily:
-    """General-form selection for s-subset families, s <= 3.
+                               sets: Sequence[Sequence[Any]], s: int,
+                               r: int | None = None) -> list[Sequence[Any]]:
+    """General-form selection for families of s-subsets, s <= 3.
 
     Each candidate is mapped to the vector of its s x s minors, taken over
     row s-subsets of a row basis in lexicographic order, and a greedy
@@ -211,12 +210,14 @@ def representative_set_general(matrix: PrimeFieldMatrix,
     because changing it multiplies every minor vector by the same invertible
     matrix (the s-th compound of the change of basis). A survivor count
     above C(r+s, s), where r defaults to rank(matrix) - s, raises
-    InternalError.
+    InternalError. Returns the kept sets in input order.
     """
-    if family.mode != "general":
-        raise InputError("general-form selection needs a general-mode family")
-    s = family.s
-    assert s is not None
+    if s < 1:
+        raise InputError("general form needs s >= 1")
+    if any(len(t) != s for t in sets):
+        raise InputError("general-form tuples must have size s")
+    if any(len(set(t)) != len(t) for t in sets):
+        raise InputError("general-form tuples must not repeat elements")
     if s > 3:
         raise RefusedError(f"minor computation limited to s <= 3, got s={s}")
     field = matrix.field
@@ -227,12 +228,12 @@ def representative_set_general(matrix: PrimeFieldMatrix,
         r = max(rho - s, 0)
     if rho > r + s:
         raise InputError(f"rank {rho} exceeds r+s = {r + s}")
-    if not family.sets:
-        return family
+    if not sets:
+        return []
     cols = [[row[j] for row in basis] for j in range(matrix.cols)]
     vectors: list[list[int]] = []
     row_sets = list(combinations(range(rho), s))
-    for t in family.sets:
+    for t in sets:
         tcols = [cols[_locate_column(matrix, x)] for x in t]
         vec = [_minor(field, tcols, rows) for rows in row_sets]
         if not any(vec):
@@ -243,7 +244,7 @@ def representative_set_general(matrix: PrimeFieldMatrix,
     if len(keep) > bound:
         raise InternalError(
             f"{len(keep)} survivors exceed C(r+s, s) = {bound}")
-    return family.subfamily(keep)
+    return [sets[i] for i in keep]
 
 
 def _locate_column(matrix: PrimeFieldMatrix, x: Any) -> int:

@@ -46,7 +46,7 @@ from cutmimic.oracles import (
     min_multiway_cut,
 )
 from cutmimic.reducer import ReduceParams, mimicking_network
-from cutmimic.repset import CandidateFamily, representative_set_product
+from cutmimic.repset import representative_set_product
 from cutmimic.tester import exact_tester
 
 from conftest import random_connected_network
@@ -183,19 +183,19 @@ def test_representative_set_bounds_and_extension():
         lm = LayeredMatroid(tuple(layers))
         tuples = list(itertools.product(*[rep.ground for rep in layers]))
         rng.shuffle(tuples)
-        family = CandidateFamily.product(tuples[:40])
+        family = tuples[:40]
         kept = representative_set_product(lm, family)
         assert len(kept) <= lm.rank_product(), seed
-        assert set(kept.sets) <= set(family.sets)
+        assert set(kept) <= set(family)
         per_layer = [
             [X for size in range(rep.rank + 1)
              for X in itertools.combinations(rep.ground, size)
              if rep.is_independent(X)]
             for rep in layers]
         for X in itertools.product(*per_layer):
-            if not any(layered_extends(layers, X, t) for t in family.sets):
+            if not any(layered_extends(layers, X, t) for t in family):
                 continue
-            assert any(layered_extends(layers, X, t) for t in kept.sets), \
+            assert any(layered_extends(layers, X, t) for t in kept), \
                 (seed, X)
             bases_checked += 1
     assert bases_checked >= 500, bases_checked
@@ -210,9 +210,8 @@ def test_representative_set_bounds_and_extension():
         for s in (1, 2, 3):
             if s > rk:
                 continue
-            fam = CandidateFamily.general(
-                list(itertools.combinations(range(n), s)), s=s)
-            kept = representative_set_general(mat, fam)
+            fam = list(itertools.combinations(range(n), s))
+            kept = representative_set_general(mat, fam, s)
             # default r is rank - s, so the bound reads C(rank, s)
             assert len(kept) <= comb(rk, s), (seed, s, len(kept))
             invocations += 1

@@ -4,7 +4,8 @@ perfbench/tracer.py wraps each `(module, function)` of TRACED at every
 module that binds it, and its KEEP lambdas read a traced call's arguments by
 parameter name. A moved function makes `Tracer.install` raise, and a
 renamed parameter silently leaves a counter at zero, so both are checked
-here against the package as it stands.
+here against the package as it stands, and the counters that KEEP feeds
+are read off real CLI runs.
 """
 
 import importlib
@@ -15,7 +16,11 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from cutmimic.frontend import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+FIX01 = str(ROOT / "tests" / "fixtures" / "fix01.net")
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +59,23 @@ def test_keep_reads_only_real_parameters(tracer):
         unknown = names - set(params)
         assert not unknown, (span, sorted(unknown))
     assert read_any
+
+
+def test_keep_counters_read_nonzero_on_cli_runs(tracer, tmp_path):
+    # A KEEP lambda that stops working (a changed return type, say) leaves
+    # its counter at zero without failing the run.
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for argv in (["mark", FIX01, "--c", "6", "--i0", "2"],
+                     ["reduce", FIX01]):
+            argv += ["--out", str(tmp_path / "out.txt")]
+            assert t.op(lambda: cli(argv)) == 0
+    finally:
+        t.uninstall()
+    metrics = tracer.layer_metrics(t)
+    for name in ("repset.representative_set_product.kept_ratio",
+                 "matroids.gammoid_rep.cells",
+                 "marker.mark.tensor_dim.max",
+                 "netgraph.degree2_reduce.events"):
+        assert metrics[name] > 0, name

@@ -9,6 +9,7 @@ import pytest
 from cutmimic.errors import FieldTooSmallError, InputError, RefusedError
 from cutmimic.ffield import (
     MERSENNE61,
+    MR_EXACT_BELOW,
     PrimeField,
     PrimeFieldMatrix,
     is_prime,
@@ -161,6 +162,21 @@ def test_is_prime_known_values():
     assert not is_prime(MERSENNE61 - 1)
     assert [x for x in range(2, 30) if is_prime(x)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    # psi_12 passes the first 12 prime bases; base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    with pytest.raises(InputError, match="not prime"):
+        PrimeField(psi12)
+    # psi_13 passes all 13 bases, so it and every larger modulus is refused
+    assert MR_EXACT_BELOW == 3317044064679887385961981
+    for n in (MR_EXACT_BELOW, MR_EXACT_BELOW + 2, (1 << 89) - 1):
+        with pytest.raises(InputError, match=str(MR_EXACT_BELOW)):
+            PrimeField(n)
+    assert is_prime(10**24 + 7)  # primes below the bound still pass
 
 
 def test_vandermonde_field_too_small():

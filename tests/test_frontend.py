@@ -326,6 +326,16 @@ def test_cli_mark_lists_edges(tmp_path, capsys):
     assert set(ids) <= {1, 2, 3, 4, 5, 6}
 
 
+def test_cli_refuses_pseudoprime_moduli(capsys):
+    # strong pseudoprimes to the first 12 and the first 13 prime bases
+    for prime, said in (("318665857834031151167461", "is not prime"),
+                        ("3317044064679887385961981", "exact only below")):
+        argv = ["mark", FIX01, "--c", "2", "--i0", "2", "--prime", prime]
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and said in err
+
+
 def test_cli_oracle_mwc_and_partition_flag(tmp_path, capsys):
     g = write_net(tmp_path, "g.net", path1(4))
     assert cli(["oracle", "mwc", g, "--partition", "1|5"]) == 0

@@ -28,8 +28,14 @@ from cutmimic.netgraph import (
     t_capacity,
     terminal_capacity,
 )
+from cutmimic.oracles import min_cut_side
 
-from conftest import path_network, random_connected_network, triangle
+from conftest import (
+    connected_terminal_networks,
+    path_network,
+    random_connected_network,
+    triangle,
+)
 from reference import delete_edges
 
 
@@ -369,3 +375,19 @@ def contracted_networks(draw):
 def test_text_format_round_trip_property(net):
     text = format_network(net)
     assert format_network(parse_network(text)) == text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(connected_terminal_networks(), st.integers(0, 10**6))
+def test_contract_edge_never_lowers_bipartition_cuts_property(net, pick):
+    tset = set(net.terminals)
+    free = [e for e in net.edge_ids()
+            if not set(net.endpoints(e)) <= tset]
+    if not free:
+        return
+    after = contract_edge(net, free[pick % len(free)])
+    for part in all_partitions(net.terminals):
+        if len(part.blocks) != 2:
+            continue
+        a, b = part.blocks
+        assert min_cut_side(after, a, b)[0] >= min_cut_side(net, a, b)[0]

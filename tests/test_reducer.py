@@ -7,6 +7,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutmimic.errors import InputError
 from cutmimic.marker import MarkParams
@@ -32,7 +33,12 @@ from cutmimic.reducer import (
     replay_trace,
 )
 
-from conftest import path_network, random_connected_network, triangle
+from conftest import (
+    connected_terminal_networks,
+    path_network,
+    random_connected_network,
+    triangle,
+)
 from reference import multicut_covering_set
 
 
@@ -279,6 +285,17 @@ def test_replay_reproduces_output_bytes():
         out, trace = mimicking_network(net, ReduceParams())
         assert format_network(replay_trace(net, trace)) == format_network(out)
         walk_events(net, trace.events, c=13)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(connected_terminal_networks(), st.sampled_from([2, 3, 4, 6]),
+       st.integers(0, 2**32))
+def test_replay_reproduces_marking_runs_property(net, c, seed):
+    # threshold 2 drives the loop through the tester and the marker; cut
+    # values are not asserted here, since small c can lose them
+    params = ReduceParams(threshold=2, mark=MarkParams(c=c, i0=2, seed=seed))
+    out, trace = mimicking_network(net, params)
+    assert format_network(replay_trace(net, trace)) == format_network(out)
 
 
 def test_default_reduction_exact_on_small_corpus():

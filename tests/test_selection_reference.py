@@ -28,7 +28,7 @@ from cutmimic.ffield import (
 from cutmimic.marker import MarkParams, build_marking_matroid
 from cutmimic.matroids import MatroidRep, graphic_rep, signed_incidence
 from cutmimic.netgraph import TerminalNetwork, components
-from cutmimic.repset import CandidateFamily, representative_set_product
+from cutmimic.repset import representative_set_product
 
 from conftest import random_connected_network
 from reference import _minor, representative_set_general
@@ -95,8 +95,7 @@ def reference_row_basis(matrix):
                             [x for row in out for x in row])
 
 
-def reference_general(matrix, family, r=None):
-    s = family.s
+def reference_general(matrix, family, s, r=None):
     field = matrix.field
     basis = reference_row_basis(matrix)
     rho = basis.rows
@@ -104,11 +103,11 @@ def reference_general(matrix, family, r=None):
         r = max(rho - s, 0)
     if rho > r + s:
         raise InputError(f"rank {rho} exceeds r+s = {r + s}")
-    if not family.sets:
-        return family
+    if not family:
+        return []
     vectors = []
     row_sets = list(combinations(range(rho), s))
-    for t in family.sets:
+    for t in family:
         cols = [basis.column(j) for j in t]
         vec = [_minor(field, cols, rows) for rows in row_sets]
         if not any(vec):
@@ -119,23 +118,23 @@ def reference_general(matrix, family, r=None):
     if len(keep) > bound:
         raise InternalError(
             f"{len(keep)} survivors exceed C(r+s, s) = {bound}")
-    return family.subfamily(keep)
+    return [family[i] for i in keep]
 
 
-def reference_product(matroid, family, dim_limit=4096):
+def reference_product(matroid, family):
     layers = matroid.layers
     field = layers[0].matrix.field
     tensors = []
-    for t in family.sets:
+    for t in family:
         cols = [layer.column_of(x) for layer, x in zip(layers, t)]
         for x, col in zip(t, cols):
             if not any(col):
                 raise InputError(f"dependent tuple: {x!r} has a zero column")
-        tensors.append(kronecker_column(field, cols, dim_limit))
+        tensors.append(kronecker_column(field, cols))
     if not tensors:
-        return family
+        return []
     keep = reference_select(reference_columns_matrix(field, tensors))
-    return family.subfamily(keep)
+    return [family[i] for i in keep]
 
 
 def reference_graphic_rep(field, rng, net, max_rank, retries=8):
@@ -249,11 +248,10 @@ def test_general_form_matches_reference(p, s):
             tuples = [t for t in tuples if rank(
                 matrix.submatrix_columns(t)) == s]
         tuples = tuples[:12] + tuples[:rng.randint(0, 2)]  # with repeats
-        family = CandidateFamily.general(tuples, s)
         r = None if rng.random() < 0.8 else rng.randint(0, 3)
-        got = outcome(representative_set_general, matrix, family, r)
-        assert got == outcome(reference_general, matrix, family, r)
-        kept_some += isinstance(got, CandidateFamily) and len(got) > 0
+        got = outcome(representative_set_general, matrix, tuples, s, r)
+        assert got == outcome(reference_general, matrix, tuples, s, r)
+        kept_some += isinstance(got, list) and len(got) > 0
     assert kept_some > 0
 
 
@@ -271,9 +269,8 @@ def test_product_form_matches_reference(p):
             t = (("zp", e), e, e)
             if all(any(c) for c in layered.tuple_column(t)):
                 tuples.append(t)
-        family = CandidateFamily.product(tuples)
-        assert (representative_set_product(layered, family)
-                == reference_product(layered, family))
+        assert (representative_set_product(layered, tuples)
+                == reference_product(layered, tuples))
 
 
 def graphic_outcome(fn, p, seed, net, max_rank, retries):

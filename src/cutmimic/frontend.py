@@ -201,9 +201,8 @@ def _cmd_tester(args: argparse.Namespace) -> int:
     ceiling = args.max_exact_n
     if ceiling < 0:  # malformed whichever tester runs, as for reduce
         raise InputError(f"exact tester ceiling must be >= 0, got {ceiling}")
-    c = args.c
-    if c is None:
-        c = default_c(terminal_capacity(net), args.i0)
+    i0 = MarkParams(i0=args.i0).i0  # refuses the i0 that reduce and mark refuse
+    c = args.c if args.c is not None else default_c(terminal_capacity(net), i0)
     if args.tester == "exact":
         verdict = exact_tester(net, c, ceiling)
     else:

@@ -105,13 +105,14 @@ def mimicking_network(net: TerminalNetwork, params: ReduceParams
     c = params.mark.c if params.mark.c is not None else default_c(k, params.mark.i0)
     mark_base = replace(params.mark, c=c)
     rng = random.Random(params.mark.seed)
-    final, events = _reduce(net, params, mark_base, c, rng, depth=0)
+    final, events = _reduce(net, params, mark_base, rng, depth=0)
     return final, ReductionTrace(tuple(events))
 
 
 def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
-            c: int, rng: random.Random, depth: int
+            rng: random.Random, depth: int
             ) -> tuple[TerminalNetwork, list[Event]]:
+    c = mark_base.c  # fixed by mimicking_network
     k = terminal_capacity(net)
     if params.threshold is not None and depth == 0:
         threshold = params.threshold
@@ -139,11 +140,10 @@ def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
                 return work, events
             sub = recursive_instance(work, verdict.witness)
             events.append(Recurse(verdict.witness, depth + 1))
-            sub_final, _sub_events = _reduce(sub, params, mark_base, c, rng,
+            sub_final, _sub_events = _reduce(sub, params, mark_base, rng,
                                              depth + 1)
-            covered = set(sub_final.edge_ids())
-            eid = _contractible(work, [e for e in sub.edge_ids()
-                                       if e not in covered])
+            eid = _contractible(work, set(sub.edge_ids())
+                                - set(sub_final.edge_ids()))
             if eid is None:
                 events.append(Stop("saturated"))
                 return work, events
@@ -160,9 +160,7 @@ def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
             events.append(Stop("saturated"))
             return work, events
         events.append(MarkStats(len(result.marked), c, call_params.i0))
-        marked = set(result.marked)
-        eid = _contractible(work, [e for e in work.edge_ids()
-                                   if e not in marked])
+        eid = _contractible(work, set(work.edge_ids()) - set(result.marked))
         if eid is None:
             events.append(Stop("saturated"))
             return work, events
@@ -170,18 +168,14 @@ def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
         events.append(Contract(eid))
 
 
-def _contractible(net: TerminalNetwork, eids: list[int]) -> int | None:
+def _contractible(net: TerminalNetwork, candidates: set[int]) -> int | None:
     """Lowest candidate whose endpoints are not both terminals; edges
     between two terminals are never contracted (their identification would
     change cut values outright).
     """
     tset = set(net.terminals)
-    for eid in sorted(eids):
-        u, v = net.endpoints(eid)
-        if u in tset and v in tset:
-            continue
-        return eid
-    return None
+    return next((eid for eid, u, v in net.edges  # in id order
+                 if eid in candidates and not (u in tset and v in tset)), None)
 
 
 # -- trace text form ---------------------------------------------------------

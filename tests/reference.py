@@ -4,7 +4,8 @@ None of this runs in the CLI. Each definition is either an independent
 route to a result the engine computes another way (gammoid independence by
 disjoint paths, all minimum witnesses by subset search, the least
 separating edge sets by subset search with no oracle code, the general-form
-representative set, the edge-cut digraph from its generated arc set) or a
+representative set, the edge-cut digraph from its generated arc set, each
+network edit renamed or filtered and then re-validated by build) or a
 construction a gate measures the engine against (the isolating-cut
 2-approximation, the covering condition), plus the arc-list constructor
 the hand-built test digraphs use. The file name
@@ -19,7 +20,12 @@ from itertools import combinations
 from math import comb
 from typing import Any, Iterable, Sequence
 
-from cutmimic.errors import InputError, InternalError, RefusedError
+from cutmimic.errors import (
+    InputError,
+    InternalError,
+    RefusedError,
+    TerminalContractionError,
+)
 from cutmimic.ffield import (
     PrimeField,
     PrimeFieldMatrix,
@@ -34,6 +40,8 @@ from cutmimic.matroids import (
     gammoid_rep,
 )
 from cutmimic.netgraph import (
+    DeleteComponent,
+    DeleteLeaf,
     Partition,
     TerminalNetwork,
     components,
@@ -291,6 +299,75 @@ def delete_edges(net: TerminalNetwork, eids: Iterable[int]) -> TerminalNetwork:
     return TerminalNetwork(
         net.vertices,
         tuple(e for e in net.edges if e[0] not in drop),
+        net.terminals)
+
+
+def reference_contract_edge(net: TerminalNetwork, eid: int) -> TerminalNetwork:
+    """contract_edge by renaming every edge and rebuilding through build."""
+    u, v = net.endpoints(eid)
+    u_t, v_t = u in net.terminals, v in net.terminals
+    if u_t and v_t:
+        raise TerminalContractionError(
+            f"edge {eid} joins terminals {u} and {v}; contraction refused")
+    if u_t:
+        keep, gone = u, v
+    elif v_t:
+        keep, gone = v, u
+    else:
+        keep, gone = min(u, v), max(u, v)
+    new_edges = []
+    for e, a, b in net.edges:
+        if e == eid:
+            continue
+        a2 = keep if a == gone else a
+        b2 = keep if b == gone else b
+        new_edges.append((e, a2, b2))
+    verts = [w for w in net.vertices if w != gone]
+    return TerminalNetwork.build(verts, new_edges, net.terminals)
+
+
+def reference_contract_vertex_set(net: TerminalNetwork, S: Iterable[int],
+                                  onto: int) -> TerminalNetwork:
+    """contract_vertex_set by renaming every edge and rebuilding."""
+    sset = set(S)
+    if sset - set(net.vertices):
+        raise InputError(f"unknown vertex ids {sorted(sset - set(net.vertices))}")
+    if onto not in sset:
+        raise InputError(f"vertex {onto} is not in the set being collapsed")
+    terms_inside = sset & set(net.terminals)
+    if terms_inside - {onto}:
+        raise TerminalContractionError(
+            f"collapsing {sorted(sset)} would merge terminals {sorted(terms_inside)}")
+    new_edges = []
+    for e, a, b in net.edges:
+        a2 = onto if a in sset else a
+        b2 = onto if b in sset else b
+        if a2 == b2:
+            continue
+        new_edges.append((e, a2, b2))
+    verts = [w for w in net.vertices if w not in sset or w == onto]
+    return TerminalNetwork.build(verts, new_edges, net.terminals)
+
+
+def reference_delete(net: TerminalNetwork, ev: DeleteLeaf | DeleteComponent
+                     ) -> TerminalNetwork:
+    """A DeleteLeaf or DeleteComponent event by filtering and rebuilding.
+    Only well-formed events are checked: a malformed component may slip
+    through, since it filters on each edge's first endpoint.
+    """
+    if isinstance(ev, DeleteLeaf):
+        adj = net.adjacency()
+        if ev.vertex not in adj or len(adj[ev.vertex]) != 1:
+            raise InputError(f"replay: vertex {ev.vertex} is not a leaf")
+        eid = adj[ev.vertex][0][0]
+        return TerminalNetwork.build(
+            [v for v in net.vertices if v != ev.vertex],
+            [e for e in net.edges if e[0] != eid],
+            net.terminals)
+    goners = set(ev.vertices)
+    return TerminalNetwork.build(
+        [v for v in net.vertices if v not in goners],
+        [e for e in net.edges if e[1] not in goners],
         net.terminals)
 
 

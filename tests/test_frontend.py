@@ -300,6 +300,14 @@ def test_cli_negative_exact_ceiling_exits_two_for_the_heuristic(capsys):
     assert err.count("error:") == 2 and "refused" not in err
 
 
+@pytest.mark.parametrize("i0", ["1", "0", "-3"])
+def test_cli_tester_refuses_the_i0_that_reduce_and_mark_refuse(i0, capsys):
+    want = "error: i0 must be at least 2 (one gammoid layer)\n"
+    for cmd in ("tester", "reduce", "mark"):
+        assert cli([cmd, FIX01, "--i0", i0]) == 2, cmd
+        assert capsys.readouterr().err == want, cmd
+
+
 def test_module_entry_point_runs_the_cli(capsys):
     argv = ["tester", FIX01]
     code = cli(argv)

@@ -10,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from cutmimic.errors import InputError, TerminalContractionError
 from cutmimic.netgraph import (
     CutRequests,
+    DeleteComponent,
+    DeleteLeaf,
     Partition,
     TerminalNetwork,
     all_partitions,
+    apply_local_event,
     boundary,
     capacity,
     components,
@@ -36,7 +39,12 @@ from conftest import (
     random_connected_network,
     triangle,
 )
-from reference import delete_edges
+from reference import (
+    delete_edges,
+    reference_contract_edge,
+    reference_contract_vertex_set,
+    reference_delete,
+)
 
 
 def test_build_validates():
@@ -129,7 +137,7 @@ def test_recursive_instance_capacity_identity():
     rng = random.Random(11)
     for _ in range(60):
         net = random_connected_network(rng, n_terminals=rng.randint(1, 3))
-        nonterm = [v for v in net.vertices if not net.is_terminal(v)]
+        nonterm = [v for v in net.vertices if v not in net.terminals]
         if not nonterm:
             continue
         S = set(rng.sample(nonterm, rng.randint(1, len(nonterm))))
@@ -197,6 +205,28 @@ def test_delete_edges_keeps_vertices():
         delete_edges(p, [99])
 
 
+def path_with_one_terminal():
+    """1 - 2 - 3 with terminal 3."""
+    return TerminalNetwork.build([1, 2, 3], [(1, 1, 2), (2, 2, 3)], [3])
+
+
+@pytest.mark.parametrize("ev", [
+    DeleteComponent((1,)),     # edge 1-2 leaves the set
+    DeleteComponent((2,)),     # both edges leave the set
+    DeleteComponent((1, 9)),   # 9 is not a vertex
+    DeleteLeaf(3),             # a terminal
+    DeleteLeaf(2),             # degree 2
+], ids=repr)
+def test_replay_refuses_malformed_deletions(ev):
+    with pytest.raises(InputError):
+        apply_local_event(path_with_one_terminal(), ev)
+
+
+def test_replay_deletes_a_leaf():
+    out = apply_local_event(path_with_one_terminal(), DeleteLeaf(1))
+    assert out == TerminalNetwork.build([2, 3], [(2, 2, 3)], [3])
+
+
 def test_degree2_reduce_path_collapses():
     p = path_network(3)
     out, events = degree2_reduce(p)
@@ -243,7 +273,7 @@ def test_degree2_reduce_leaves_no_reducible_vertex():
         out, _ = degree2_reduce(net)
         adj = out.adjacency()
         for v in out.vertices:
-            if out.is_terminal(v):
+            if v in out.terminals:
                 continue
             assert len(adj[v]) != 0 and len(adj[v]) != 1
             if len(adj[v]) == 2:
@@ -365,7 +395,7 @@ def contracted_networks(draw):
     picks = draw(st.lists(st.integers(1, max(len(pairs), 1)), max_size=n))
     for eid in picks:
         if eid in net.edge_ids() and not all(
-                net.is_terminal(v) for v in net.endpoints(eid)):
+                v in net.terminals for v in net.endpoints(eid)):
             net = contract_edge(net, eid)
     return net
 
@@ -391,3 +421,48 @@ def test_contract_edge_never_lowers_bipartition_cuts_property(net, pick):
             continue
         a, b = part.blocks
         assert min_cut_side(after, a, b)[0] >= min_cut_side(net, a, b)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(connected_terminal_networks(), st.booleans(), st.data())
+def test_edits_match_build_references_property(net, with_cycle, data):
+    # Up to three successive edits, each of a kind drawn among those the
+    # current network allows. Every output equals the build-based
+    # reference's and is already what build makes of it: sorted, loop-free
+    # and valid.
+    if with_cycle:  # a terminal-free triangle, for DeleteComponent
+        a, e = net.vertices[-1], net.edges[-1][0]
+        net = TerminalNetwork.build(
+            net.vertices + (a + 1, a + 2, a + 3),
+            net.edges + ((e + 1, a + 1, a + 2), (e + 2, a + 2, a + 3),
+                         (e + 3, a + 3, a + 1)),
+            net.terminals)
+    for _ in range(data.draw(st.integers(1, 3))):
+        tset = set(net.terminals)
+        free = [e for e, u, v in net.edges if not (u in tset and v in tset)]
+        leaves = [v for v in net.vertices
+                  if v not in tset and net.degree(v) == 1]
+        dead = [c for c in components(net) if tset.isdisjoint(c)]
+        kinds = ["set"] + ["edge"] * bool(free) + ["leaf"] * bool(leaves) \
+            + ["component"] * bool(dead)
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "edge":
+            eid = data.draw(st.sampled_from(free))
+            out, want = contract_edge(net, eid), reference_contract_edge(net, eid)
+        elif kind == "set":
+            S = data.draw(st.sets(st.sampled_from(net.vertices), min_size=1))
+            inside = sorted(S & tset)
+            if len(inside) > 1:
+                S -= set(inside[1:])
+            onto = inside[0] if inside else data.draw(st.sampled_from(sorted(S)))
+            out = contract_vertex_set(net, S, onto)
+            want = reference_contract_vertex_set(net, S, onto)
+        else:
+            ev = (DeleteLeaf(data.draw(st.sampled_from(leaves)))
+                  if kind == "leaf" else
+                  DeleteComponent(data.draw(st.sampled_from(dead))))
+            out, want = apply_local_event(net, ev), reference_delete(net, ev)
+        assert out == want, kind
+        assert out == TerminalNetwork.build(out.vertices, out.edges,
+                                            out.terminals), kind
+        net = out

@@ -19,13 +19,14 @@ class FieldTooSmallError(InputError):
 class RefusedError(RuntimeError):
     """Work refused because a desk-scale ceiling would be exceeded.
 
-    The message names the ceiling and the offending size so the caller can
-    lower parameters or raise the ceiling explicitly.
+    The message names the ceiling and the offending size. The exact
+    tester's ceiling is a parameter; the other ceilings are fixed, so the
+    caller lowers the parameters that set the size instead.
     """
 
 
 class MarkingRefusedError(RefusedError):
-    """Marking tensor dimension above the configured ceiling."""
+    """Marking tensor dimension above the fixed marker.TENSOR_LIMIT."""
 
 
 class TerminalContractionError(RuntimeError):

@@ -25,6 +25,7 @@ from typing import Sequence
 from .errors import FieldTooSmallError, InputError, RefusedError
 
 MERSENNE61 = (1 << 61) - 1
+KRONECKER_LIMIT = 1_000_000
 
 # Deterministic Miller-Rabin witness set: the first 13 primes decide every
 # n below MR_EXACT_BELOW exactly. The bound itself is a composite that all
@@ -223,20 +224,20 @@ def select_independent_columns(field: PrimeField,
     return kept
 
 
-def kronecker_column(field: PrimeField, vectors: Sequence[Sequence[int]],
-                     dim_limit: int = 1_000_000) -> list[int]:
+def kronecker_column(field: PrimeField,
+                     vectors: Sequence[Sequence[int]]) -> list[int]:
     """Kronecker product of column vectors, first vector slowest-varying.
 
-    The product of the dimensions is guarded by dim_limit.
+    The product of the dimensions is guarded by KRONECKER_LIMIT.
     """
     if not vectors:
         raise InputError("kronecker_column requires at least one vector")
     total = 1
     for v in vectors:
         total *= len(v)
-        if total > dim_limit:
-            raise RefusedError(
-                f"kronecker dimension {total}+ exceeds limit {dim_limit}")
+        if total > KRONECKER_LIMIT:
+            raise RefusedError(f"kronecker dimension {total}+ exceeds "
+                               f"limit {KRONECKER_LIMIT}")
     p = field.p
     acc = [x % p for x in vectors[0]]
     for v in vectors[1:]:

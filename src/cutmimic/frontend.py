@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError, RefusedError
-from .ffield import PrimeField
+from .ffield import MERSENNE61, PrimeField
 from .marker import DEFAULT_I0, MarkParams, default_c, mark
 from .netgraph import (
     CutRequests,
@@ -34,8 +34,8 @@ from .oracles import (
     min_multiway_cut,
     verify_mimicking,
 )
-from .reducer import ReduceParams, format_trace, mimicking_network
-from .tester import DEFAULT_EXACT_CEILING, exact_tester, heuristic_tester
+from .reducer import ReduceParams, format_trace, mimicking_network, run_tester
+from .tester import DEFAULT_EXACT_CEILING
 
 
 @dataclass(frozen=True)
@@ -198,15 +198,10 @@ def _cmd_mark(args: argparse.Namespace) -> int:
 
 def _cmd_tester(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.graph))
-    ceiling = args.max_exact_n
-    if ceiling < 0:  # malformed whichever tester runs, as for reduce
-        raise InputError(f"exact tester ceiling must be >= 0, got {ceiling}")
+    params = ReduceParams(tester=args.tester, exact_ceiling=args.max_exact_n)
     i0 = MarkParams(i0=args.i0).i0  # refuses the i0 that reduce and mark refuse
     c = args.c if args.c is not None else default_c(terminal_capacity(net), i0)
-    if args.tester == "exact":
-        verdict = exact_tester(net, c, ceiling)
-    else:
-        verdict = heuristic_tester(net, c)
+    verdict = run_tester(net, c, params)
     if verdict.is_sparse:
         assert verdict.witness is not None
         body = " ".join(str(v) for v in verdict.witness)
@@ -253,11 +248,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             lines.append(f"{part.to_text()}: {ids}".rstrip())
         _emit("\n".join(lines) + "\n", args.out)
         return 0
-    if args.what == "cutcover":
-        cover = cut_covering_set(net)
-        _emit("".join(f"{e}\n" for e in cover), args.out)
-        return 0
-    raise InputError(f"unknown oracle {args.what!r}")
+    cover = cut_covering_set(net)  # "cutcover", the last of the choices
+    _emit("".join(f"{e}\n" for e in cover), args.out)
+    return 0
 
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
@@ -273,67 +266,63 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
             return 1
         _emit(format_network(result.net), args.out)
         return 0
-    if args.what == "multicut":
-        if args.requests is None:
-            raise InputError("kernelize multicut needs --requests")
-        pairs = parse_pairs(_read(args.requests))
-        inst = MulticutInstance(net, pairs, args.budget)
-        result = kernelize_multicut(inst, params)
-        _emit(format_network(result.net), args.out)
-        req_text = format_requests(
-            CutRequests.of(result.net.terminals, result.requests))
-        _emit(req_text, args.requests_out)
-        return 0
-    raise InputError(f"unknown kernelize target {args.what!r}")
+    if args.requests is None:  # "multicut", the other choice
+        raise InputError("kernelize multicut needs --requests")
+    pairs = parse_pairs(_read(args.requests))
+    inst = MulticutInstance(net, pairs, args.budget)
+    result = kernelize_multicut(inst, params)
+    _emit(format_network(result.net), args.out)
+    req_text = format_requests(
+        CutRequests.of(result.net.terminals, result.requests))
+    _emit(req_text, args.requests_out)
+    return 0
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first cli() call and reused after it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, metavar="U64")
-    common.add_argument("--prime", type=int, default=PrimeField().p)
-    common.add_argument("--c", type=int, default=None)
-    common.add_argument("--i0", type=int, default=DEFAULT_I0)
-    common.add_argument("--threshold", type=int, default=None)
-    common.add_argument("--tester", choices=("exact", "heuristic"),
-                        default="exact")
-    common.add_argument("--max-exact-n", type=int,
-                        default=DEFAULT_EXACT_CEILING)
-    common.add_argument("--out", default=None, metavar="PATH")
-    common.add_argument("--trace", default=None, metavar="PATH")
+    """The CLI parser, built on the first cli() call and reused after it.
+    Each command declares only the options its _cmd_ function reads."""
+    path = {"default": None, "metavar": "PATH"}
+    spec = {
+        "graph": {}, "other": {},
+        "--seed": {"type": int, "default": 0, "metavar": "U64"},
+        "--prime": {"type": int, "default": MERSENNE61},
+        "--c": {"type": int, "default": None},
+        "--i0": {"type": int, "default": DEFAULT_I0},
+        "--threshold": {"type": int, "default": None},
+        "--tester": {"choices": ("exact", "heuristic"), "default": "exact"},
+        "--max-exact-n": {"type": int, "default": DEFAULT_EXACT_CEILING},
+        "--budget": {"type": int, "default": None},
+        "--partition": {"default": None,
+                        "help": "blocks as '1,3|2' over the terminal ids"},
+        "--out": path, "--trace": path,
+        "--requests": path, "--requests-out": path,
+    }
+    marking = ("--seed", "--prime", "--c", "--i0")
+    reducing = (*marking, "--threshold", "--tester", "--max-exact-n")
+    commands = {
+        "reduce": ("graph", *reducing, "--out", "--trace"),
+        "mark": ("graph", *marking, "--out"),
+        "tester": ("graph", "--c", "--i0", "--tester", "--max-exact-n",
+                   "--out"),
+        "verify": ("graph", "other", "--seed", "--out"),
+        "oracle": ("graph", "--partition", "--requests", "--out"),
+        "kernelize": ("graph", *reducing, "--budget", "--requests",
+                      "--requests-out", "--out"),
+    }
+    targets = {"oracle": ("mwc", "mc", "essential", "cutcover"),
+               "kernelize": ("mwc", "multicut")}
 
     top = argparse.ArgumentParser(
         prog="cutmimic",
         description="Multicut-covering sets and mimicking networks.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reduce", parents=[common])
-    p.add_argument("graph")
-
-    p = sub.add_parser("mark", parents=[common])
-    p.add_argument("graph")
-
-    p = sub.add_parser("tester", parents=[common])
-    p.add_argument("graph")
-
-    p = sub.add_parser("verify", parents=[common])
-    p.add_argument("graph")
-    p.add_argument("other")
-
-    p = sub.add_parser("oracle", parents=[common])
-    p.add_argument("what", choices=("mwc", "mc", "essential", "cutcover"))
-    p.add_argument("graph")
-    p.add_argument("--partition", default=None,
-                   help="blocks as '1,3|2' over the terminal ids")
-    p.add_argument("--requests", default=None, metavar="PATH")
-
-    p = sub.add_parser("kernelize", parents=[common])
-    p.add_argument("what", choices=("mwc", "multicut"))
-    p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--requests", default=None, metavar="PATH")
-    p.add_argument("--requests-out", default=None, metavar="PATH")
+    for command, names in commands.items():
+        p = sub.add_parser(command)
+        if command in targets:
+            p.add_argument("what", choices=targets[command])
+        for name in names:
+            p.add_argument(name, **spec[name])
     return top
 
 

@@ -22,6 +22,7 @@ from .matroids import (
 )
 from .netgraph import TerminalNetwork, terminal_capacity
 from .repset import representative_set_product
+from .tester import validate_c
 
 DEFAULT_I0 = 4
 GRAPHIC_CAP_CEILING = 256
@@ -43,14 +44,12 @@ def default_c(k: int, i0: int) -> int:
 @dataclass(frozen=True)
 class MarkParams:
     """Marking knobs. c and graphic_rank_cap of None mean "derive from k":
-    c as for default_c, the cap as k^(c-i0) clamped to cap_ceiling.
+    c as for default_c, the cap as k^(c-i0) clamped to GRAPHIC_CAP_CEILING.
     """
 
     c: int | None = None
     i0: int = DEFAULT_I0
     graphic_rank_cap: int | None = None
-    cap_ceiling: int = GRAPHIC_CAP_CEILING
-    tensor_limit: int = TENSOR_LIMIT
     field: PrimeField = dc_field(default_factory=PrimeField)
     seed: int = 0
 
@@ -58,14 +57,11 @@ class MarkParams:
         if self.i0 < 2:
             raise InputError("i0 must be at least 2 (one gammoid layer)")
         if self.c is not None:
-            if self.c < 1:
-                raise InputError("c must be a positive integer")
+            validate_c(self.c)
             if self.i0 > self.c:
                 raise InputError(f"i0 = {self.i0} must not exceed c = {self.c}")
         if self.graphic_rank_cap is not None and self.graphic_rank_cap < 1:
             raise InputError("graphic_rank_cap must be positive")
-        if self.cap_ceiling < 1 or self.tensor_limit < 1:
-            raise InputError("ceilings must be positive")
 
     def resolve(self, k: int) -> "MarkParams":
         """Concrete params for a network with terminal capacity k."""
@@ -74,7 +70,7 @@ class MarkParams:
         c = self.c if self.c is not None else default_c(k, self.i0)
         cap = self.graphic_rank_cap
         if cap is None:
-            cap = min(k ** (c - self.i0), self.cap_ceiling)
+            cap = min(k ** (c - self.i0), GRAPHIC_CAP_CEILING)
             cap = max(cap, 1)
         return replace(self, c=c, graphic_rank_cap=cap)
 
@@ -112,7 +108,7 @@ def mark(net: TerminalNetwork, params: MarkParams) -> MarkResult:
     Candidate tuples scan edges in id order; an edge whose tuple is
     dependent (a zero column in some layer) is marked unconditionally,
     since only dropping edges can lose information. Raises
-    MarkingRefusedError when the tensor dimension exceeds the limit.
+    MarkingRefusedError when the tensor dimension exceeds TENSOR_LIMIT.
     """
     k = terminal_capacity(net)
     params = params.resolve(k)
@@ -120,10 +116,10 @@ def mark(net: TerminalNetwork, params: MarkParams) -> MarkResult:
     dim = 1
     for layer in layered.layers:
         dim *= layer.matrix.rows
-    if dim > params.tensor_limit:
+    if dim > TENSOR_LIMIT:
         raise MarkingRefusedError(
-            f"tensor dimension {dim} exceeds limit {params.tensor_limit}; "
-            f"lower c or i0, or raise the limit")
+            f"tensor dimension {dim} exceeds limit {TENSOR_LIMIT}; "
+            f"lower c or i0")
     if len(layered.layers) != params.i0 + 1:
         raise InternalError(
             f"{len(layered.layers)} layers built for i0 = {params.i0}")

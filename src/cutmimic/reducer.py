@@ -27,9 +27,15 @@ from .netgraph import (
     recursive_instance,
     terminal_capacity,
 )
-from .tester import DEFAULT_EXACT_CEILING, exact_tester, heuristic_tester
+from .tester import (
+    DEFAULT_EXACT_CEILING,
+    TesterVerdict,
+    exact_tester,
+    heuristic_tester,
+    validate_ceiling,
+)
 
-DEFAULT_MAX_DEPTH = 64
+MAX_DEPTH = 64  # recursion depth at which a sparse verdict saturates
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,6 @@ class ReduceParams:
     tester: str = "exact"
     mark: MarkParams = dc_field(default_factory=MarkParams)
     threshold: int | None = None
-    max_depth: int = DEFAULT_MAX_DEPTH
     exact_ceiling: int = DEFAULT_EXACT_CEILING
 
     def __post_init__(self) -> None:
@@ -84,10 +89,15 @@ class ReduceParams:
             raise InputError(f"unknown tester {self.tester!r}")
         if self.threshold is not None and self.threshold < 1:
             raise InputError("threshold must be at least 1")
-        if self.max_depth < 0:
-            raise InputError("max_depth must be nonnegative")
-        if self.exact_ceiling < 0:
-            raise InputError("exact_ceiling must be nonnegative")
+        validate_ceiling(self.exact_ceiling)
+
+
+def run_tester(net: TerminalNetwork, c: int,
+               params: ReduceParams) -> TesterVerdict:
+    """The verdict of the tester that params names, at exponent c."""
+    if params.tester == "exact":
+        return exact_tester(net, c, params.exact_ceiling)
+    return heuristic_tester(net, c)
 
 
 def mimicking_network(net: TerminalNetwork, params: ReduceParams
@@ -128,14 +138,10 @@ def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
             events.append(Stop("base"))
             return work, events
 
-        if params.tester == "exact":
-            verdict = exact_tester(work, c, params.exact_ceiling)
-        else:
-            verdict = heuristic_tester(work, c)
-
+        verdict = run_tester(work, c, params)
         if verdict.is_sparse:
             assert verdict.witness is not None
-            if depth >= params.max_depth:
+            if depth >= MAX_DEPTH:
                 events.append(Stop("saturated"))
                 return work, events
             sub = recursive_instance(work, verdict.witness)

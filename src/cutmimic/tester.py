@@ -61,9 +61,16 @@ def _sparse_verdict(net: TerminalNetwork, c: int,
     return TesterVerdict("sparse", tuple(sorted(sset)), cap, len(sset))
 
 
-def _validate_c(c: int) -> None:
+def validate_c(c: int) -> None:
+    """The one check of the exponent c, for the testers and MarkParams."""
     if c < 1:
         raise InputError(f"exponent c must be >= 1, got {c}")
+
+
+def validate_ceiling(ceiling: int) -> None:
+    """The one check of the exact tester's vertex ceiling."""
+    if ceiling < 0:
+        raise InputError(f"exact tester ceiling must be >= 0, got {ceiling}")
 
 
 def _sink_min_cut(nbrs: list[dict[int, int]], deg: list[int],
@@ -118,9 +125,8 @@ def exact_tester(net: TerminalNetwork, c: int,
     candidate's objective is >= 0 and Dense is returned at once; otherwise
     all 2^n subsets are scanned.
     """
-    _validate_c(c)
-    if ceiling < 0:
-        raise InputError(f"exact tester ceiling must be >= 0, got {ceiling}")
+    validate_c(c)
+    validate_ceiling(ceiling)
     n = net.n
     if n > ceiling:
         raise RefusedError(
@@ -203,7 +209,7 @@ def heuristic_tester(net: TerminalNetwork, c: int) -> TesterVerdict:
     then degree-ordered prefixes. Returns the first prefix that passes the
     witness contract; a Dense verdict here is explicitly unverified.
     """
-    _validate_c(c)
+    validate_c(c)
     n = net.n
     tset = set(net.terminals)
     adj = net.adjacency()

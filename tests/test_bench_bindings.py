@@ -68,7 +68,8 @@ def test_keep_counters_read_nonzero_on_cli_runs(tracer, tmp_path):
     t.install()
     try:
         for argv in (["mark", FIX01, "--c", "6", "--i0", "2"],
-                     ["reduce", FIX01]):
+                     ["reduce", FIX01],
+                     ["tester", FIX01, "--c", "2"]):
             argv += ["--out", str(tmp_path / "out.txt")]
             assert t.op(lambda: cli(argv)) == 0
     finally:
@@ -78,6 +79,9 @@ def test_keep_counters_read_nonzero_on_cli_runs(tracer, tmp_path):
                  "matroids.gammoid_rep.cells",
                  "marker.mark.tensor_dim.max",
                  "netgraph.degree2_reduce.events",
+                 # the tester command reaches exact_tester through the
+                 # reducer's dispatch, a binding the tracer must wrap
+                 "tester.exact_tester.calls",
                  # perfbench/selftest.py needs this span on sparse-chains, so
                  # Contract events must keep passing through contract_edge
                  "netgraph.contract_edge.calls"):

@@ -5,6 +5,7 @@ kernelization; the CLI is driven in process through cli(argv) with real
 files under tmp_path.
 """
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -28,6 +29,7 @@ from cutmimic.frontend import (
     kernelize_multiway_cut,
     multicut_gadget,
 )
+from cutmimic.marker import MarkParams
 from cutmimic.netgraph import (
     CutRequests,
     Partition,
@@ -38,12 +40,14 @@ from cutmimic.netgraph import (
 )
 from cutmimic.oracles import min_multicut, min_multiway_cut
 from cutmimic.reducer import ReduceParams
+from cutmimic.tester import exact_tester, heuristic_tester
 
 from conftest import path_network, random_connected_network, triangle
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
-FIX01 = str(ROOT / "tests" / "fixtures" / "fix01.net")
+FIXTURES = ROOT / "tests" / "fixtures"
+FIX01 = str(FIXTURES / "fix01.net")
 
 
 def singletons(net):
@@ -308,6 +312,118 @@ def test_cli_tester_refuses_the_i0_that_reduce_and_mark_refuse(i0, capsys):
         assert capsys.readouterr().err == want, cmd
 
 
+C_ZERO = "error: exponent c must be >= 1, got 0\n"
+CEILING_NEGATIVE = "error: exact tester ceiling must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    (["reduce", FIX01, "--c", "0"], 2, C_ZERO),
+    (["mark", FIX01, "--c", "0"], 2, C_ZERO),
+    (["kernelize", "mwc", FIX01, "--budget", "1", "--c", "0"], 2, C_ZERO),
+    (["tester", FIX01, "--c", "0"], 2, C_ZERO),
+    (["reduce", FIX01, "--max-exact-n", "-1"], 2, CEILING_NEGATIVE),
+    (["tester", FIX01, "--max-exact-n", "-1"], 2, CEILING_NEGATIVE),
+    (["mark", str(FIXTURES / "fix03.net")], 3,
+     "refused: tensor dimension 3000 exceeds limit 2048; lower c or i0\n"),
+], ids=["reduce-c", "mark-c", "kernelize-c", "tester-c", "reduce-ceiling",
+        "tester-ceiling", "mark-tensor"])
+def test_cli_words_each_refusal_one_way(argv, code, want, capsys):
+    # one check per value, so every command that reads it refuses alike
+    assert cli(argv) == code
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: MarkParams(c=0), C_ZERO),
+    (lambda: exact_tester(triangle(), 0), C_ZERO),
+    (lambda: heuristic_tester(triangle(), 0), C_ZERO),
+    (lambda: ReduceParams(exact_ceiling=-1), CEILING_NEGATIVE),
+    (lambda: exact_tester(triangle(), 2, -1), CEILING_NEGATIVE),
+], ids=["MarkParams", "exact_tester", "heuristic_tester", "ReduceParams",
+        "exact_tester_ceiling"])
+def test_library_guards_word_refusals_as_the_cli(call, want):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert f"error: {exc.value}\n" == want
+
+
+# Options a command's _cmd_ function never reads; argparse refuses each.
+UNREAD = {
+    "mark": ("--threshold", "--tester", "--max-exact-n", "--trace"),
+    "tester": ("--seed", "--prime", "--threshold", "--trace"),
+    "verify": ("--prime", "--c", "--i0", "--threshold", "--tester",
+               "--max-exact-n", "--trace"),
+    "oracle essential": ("--seed", "--prime", "--c", "--i0", "--threshold",
+                         "--tester", "--max-exact-n", "--trace"),
+    "kernelize mwc": ("--trace",),
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in UNREAD.items()
+    for option in options])
+def test_cli_refuses_options_the_command_does_not_read(command, option,
+                                                       tmp_path, capsys):
+    value = {"--tester": "exact",
+             "--trace": str(tmp_path / "t.txt")}.get(option, "2")
+    graphs = [FIX01, FIX01] if command == "verify" else [FIX01]
+    with pytest.raises(SystemExit) as exc:
+        cli(command.split() + graphs + [option, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "t.txt").exists()
+
+
+def test_each_command_reads_every_option_it_declares(tmp_path):
+    # Runs each _cmd_ over argv that reach all of its branches and records
+    # the attributes it reads, so a declared option that no branch reads
+    # (one added to a command that ignores it) fails here.
+    fix = lambda name: str(FIXTURES / name)
+    out = lambda name: str(tmp_path / name)
+    runs = {
+        "reduce": [["reduce", FIX01, "--trace", out("r.trace")]],
+        "mark": [["mark", fix("fix03.net"), "--c", "2", "--i0", "2"]],
+        "tester": [["tester", FIX01], ["tester", FIX01, "--c", "2"]],
+        "verify": [["verify", fix("fix02.net"), fix("fix02.net")]],
+        "oracle": [["oracle", "mwc", fix("fix04.net"), "--partition",
+                    "1|2|3|4"],
+                   ["oracle", "mc", fix("fix08.net"), "--requests",
+                    fix("fix08.req")],
+                   ["oracle", "essential", fix("fix06.net")],
+                   ["oracle", "cutcover", fix("fix05.net")]],
+        "kernelize": [["kernelize", "mwc", fix("fix07.net"), "--budget", "3"],
+                      ["kernelize", "multicut", fix("fix08.net"),
+                       "--budget", "1", "--requests", fix("fix08.req"),
+                       "--requests-out", out("k.req")]],
+    }
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    parser = frontend._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(runs) == sorted(commands)
+    pairs = 0
+    for command, sub in commands.items():
+        declared = {a.dest for a in sub._actions
+                    if not isinstance(a, argparse._HelpAction)}
+        pairs += sum(1 for a in sub._actions if a.option_strings
+                     and not isinstance(a, argparse._HelpAction))
+        got = set()
+        for argv in runs[command]:
+            args = parser.parse_args(argv + ["--out", out("o.txt")],
+                                     namespace=Recording())
+            read.clear()
+            assert getattr(frontend, f"_cmd_{command}")(args) in (0, 1)
+            got |= read
+        assert declared <= got, (command, sorted(declared - got))
+    assert pairs == 35
+
+
 def test_module_entry_point_runs_the_cli(capsys):
     argv = ["tester", FIX01]
     code = cli(argv)
@@ -438,6 +554,9 @@ MALFORMED_NETWORKS = (
 )
 MALFORMED_REQUESTS = ("r 1\n", "r 1 1\n", "x 1 2\n", "r 99 1\n")
 KNOBS = ("--seed", "--prime", "--c", "--i0", "--threshold", "--max-exact-n")
+# The knobs each drawn command reads; any other one exits 2 in argparse.
+COMMAND_KNOBS = {"reduce": KNOBS, "kernelize mwc": KNOBS,
+                 "verify": ("--seed",), "oracle mc": (), "oracle mwc": ()}
 
 
 @st.composite
@@ -471,8 +590,11 @@ def cli_calls(draw):
             "1|2", "1,1")))]
     elif cmd == "kernelize mwc" and draw(st.booleans()):
         argv += ["--budget", str(draw(st.integers(-1, 4)))]
-    for knob in draw(st.lists(st.sampled_from(KNOBS), max_size=3, unique=True)):
-        argv += [knob, str(draw(st.integers(-3, 5)))]
+    knobs = COMMAND_KNOBS[cmd]
+    if knobs:
+        for knob in draw(st.lists(st.sampled_from(knobs), max_size=3,
+                                  unique=True)):
+            argv += [knob, str(draw(st.integers(-3, 5)))]
     return argv, graphs, requests
 
 

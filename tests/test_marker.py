@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from cutmimic import marker
 from cutmimic.errors import InputError, InternalError, MarkingRefusedError
 from cutmimic.frontend import cli
 from cutmimic.marker import (
@@ -79,10 +80,6 @@ def test_params_validation():
         MarkParams(c=0, i0=2)
     with pytest.raises(InputError):
         MarkParams(graphic_rank_cap=0)
-    with pytest.raises(InputError):
-        MarkParams(tensor_limit=0)
-    with pytest.raises(InputError):
-        MarkParams(cap_ceiling=0)
 
 
 def test_resolve_fills_derived_fields():
@@ -168,11 +165,13 @@ def test_mark_deterministic_per_seed():
     assert set(c.marked) <= set(net.edge_ids())
 
 
-def test_mark_refuses_oversized_tensor():
+def test_mark_refuses_oversized_tensor(monkeypatch):
+    monkeypatch.setattr(marker, "TENSOR_LIMIT", 10)
     with pytest.raises(MarkingRefusedError, match="tensor dimension 30"):
-        mark(k4(), MarkParams(c=2, i0=2, tensor_limit=10))
+        mark(k4(), MarkParams(c=2, i0=2))
     # exactly at the limit is allowed
-    res = mark(k4(), MarkParams(c=2, i0=2, tensor_limit=30))
+    monkeypatch.setattr(marker, "TENSOR_LIMIT", 30)
+    res = mark(k4(), MarkParams(c=2, i0=2))
     assert res.tensor_dim == 30
 
 

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cutmimic import reducer
 from cutmimic.errors import InputError
 from cutmimic.marker import MarkParams
 from cutmimic.netgraph import (
@@ -192,10 +193,10 @@ def test_sparse_branch_recurses_and_contracts():
     assert format_network(final) == format_network(out)
 
 
-def test_max_depth_zero_saturates_on_sparse():
+def test_max_depth_zero_saturates_on_sparse(monkeypatch):
+    monkeypatch.setattr(reducer, "MAX_DEPTH", 0)
     net = blob_with_tail()
-    params = ReduceParams(mark=MarkParams(c=2, i0=2), threshold=15,
-                          max_depth=0)
+    params = ReduceParams(mark=MarkParams(c=2, i0=2), threshold=15)
     out, trace = mimicking_network(net, params)
     assert trace.events[-1] == Stop("saturated")
     assert not any(isinstance(ev, Recurse) for ev in trace.events)
@@ -210,8 +211,6 @@ def test_params_validation():
         ReduceParams(tester="psychic")
     with pytest.raises(InputError):
         ReduceParams(threshold=0)
-    with pytest.raises(InputError):
-        ReduceParams(max_depth=-1)
 
 
 def test_heuristic_mode_runs_the_same_pipeline():

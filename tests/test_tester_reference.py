@@ -20,7 +20,7 @@ C_VALUES = (1, 2, 3, 4, 6, 40)
 
 
 def reference_exact_tester(net, c, ceiling=tester_mod.DEFAULT_EXACT_CEILING):
-    tester_mod._validate_c(c)
+    tester_mod.validate_c(c)
     n = net.n
     if n > ceiling:
         raise tester_mod.RefusedError(

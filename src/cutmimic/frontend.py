@@ -313,12 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
     targets = {"oracle": ("mwc", "mc", "essential", "cutcover"),
                "kernelize": ("mwc", "multicut")}
 
+    # allow_abbrev=False: an option is accepted under its full name only
     top = argparse.ArgumentParser(
-        prog="cutmimic",
+        prog="cutmimic", allow_abbrev=False,
         description="Multicut-covering sets and mimicking networks.")
     sub = top.add_subparsers(dest="command", required=True)
     for command, names in commands.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         if command in targets:
             p.add_argument("what", choices=targets[command])
         for name in names:

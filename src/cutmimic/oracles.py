@@ -11,11 +11,18 @@ avoids every other edge.
 The witness enumerator and the isolating-cut 2-approximation that the tests
 check these solvers against are reference code in the test suite.
 
-Work done once per call, with nothing kept between calls:
-- one branch-and-bound search indexes the network once (vertex positions,
-  one bit per edge, so an edge set is one int) and finds each edge set's
-  shortest violating path once: one memo serves every deepening round, and
-  a request pair found separated stays skipped for the set's supersets;
+Work done once per top-level call, with nothing kept between calls:
+- each network gets one search index (`_SearchIndex`: vertex positions,
+  one bit per edge, so an edge set is one int, adjacency lists, and per
+  ordered group pair a memo from edge mask to the violating path the BFS
+  finds). `verify_mimicking`, `cut_value_table` and `essential_edges`
+  build one per network and hand it to every search of their call
+  (`min_multiway_cut` and `min_multicut` take it as `index=`); a lone
+  search builds its own. It is dropped when the call returns, and the
+  witness checks (`is_multiway_cut`, `is_multicut`) never read it;
+- within one search, each edge set's shortest violating path is chosen
+  once: one memo serves every deepening round, and a request pair found
+  separated stays skipped for the set's supersets;
 - it runs no lower-bound flows: rounds below the optimum fail whatever
   budget they start from, so deepening starts at 0, and the impossible case
   (a pair joined by undeletable edges alone) is found first by one
@@ -45,6 +52,7 @@ INF = 10 ** 9
 FLOW_EDGE_CEILING = 4096
 BB_EDGE_CEILING = 64
 MAX_ORACLE_TERMINALS = 5
+SPOT_CHECKS = 100  # multicut request sets `verify_mimicking` draws
 
 
 # -- max flow with removable / undeletable edges -----------------------------
@@ -162,7 +170,7 @@ def is_multicut(net: TerminalNetwork, requests: CutRequests,
 
 
 def _violating_path(adj: list[list[tuple[int, int]]], left: Sequence[int],
-                    right: Sequence[int], X: int) -> list[int] | None:
+                    right: Sequence[int], X: int) -> tuple[int, ...] | None:
     """Edge bits of some shortest path joining `left` to `right` in G - X,
     in path order, or None. `adj` lists (edge bit, neighbour) per vertex
     position, X is a mask of edge bits and the groups are disjoint lists of
@@ -190,7 +198,7 @@ def _violating_path(adj: list[list[tuple[int, int]]], left: Sequence[int],
                 elif label[y] != label[x]:
                     head = _walk_up(up_vertex, up_edge, x)
                     tail = _walk_up(up_vertex, up_edge, y)
-                    return head[::-1] + [bit] + tail
+                    return (*reversed(head), bit, *tail)
         queue = nxt
     return None
 
@@ -203,14 +211,56 @@ def _walk_up(up_vertex: list[int], up_edge: list[int], v: int) -> list[int]:
     return out
 
 
+class _SearchIndex:
+    """What every branch-and-bound search on one network reads: vertex
+    positions, one bit per edge (so an edge set is one int), adjacency
+    lists of (edge bit, neighbour position), and per group pair a memo of
+    `_violating_path` results keyed by the edge mask. The path a BFS finds
+    depends only on the network, the mask and the ordered group pair, so
+    any search may reuse an entry another search stored.
+    """
+
+    __slots__ = ("net", "pos", "adj", "paths", "distinct")
+
+    def __init__(self, net: TerminalNetwork) -> None:
+        self.net = net
+        self.pos = {v: i for i, v in enumerate(net.vertices)}
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in net.vertices]
+        for i, (_, u, v) in enumerate(net.edges):
+            self.adj[self.pos[u]].append((1 << i, self.pos[v]))
+            self.adj[self.pos[v]].append((1 << i, self.pos[u]))
+        # (left group, right group) -> (left positions, right positions,
+        # {edge mask: path bits or None})
+        self.paths: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                         tuple[list[int], list[int],
+                               dict[int, tuple[int, ...] | None]]] = {}
+        # each path once, however many masks and pairs find it
+        self.distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def pair(self, left: tuple[int, ...], right: tuple[int, ...]
+             ) -> tuple[list[int], list[int],
+                        dict[int, tuple[int, ...] | None]]:
+        got = self.paths.get((left, right))
+        if got is None:
+            got = self.paths[left, right] = (
+                [self.pos[v] for v in left], [self.pos[v] for v in right], {})
+        return got
+
+
+def _check_index(net: TerminalNetwork, index: _SearchIndex | None) -> None:
+    if index is not None and index.net is not net:
+        raise InputError("search index was built for another network")
+
+
 def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
                       pair_list: Sequence[tuple[int, int]],
-                      forbidden: frozenset[int]
+                      forbidden: frozenset[int], index: _SearchIndex | None
                       ) -> tuple[int, tuple[int, ...] | None]:
     """Minimum edge set X (disjoint from `forbidden`) whose removal puts
     every listed group-index pair in different components. Iterative
     deepening with path branching, refused above BB_EDGE_CEILING edges.
-    Returns (INF, None) when impossible.
+    Reads `index` (built here when None). Returns (INF, None) when
+    impossible.
     """
     if not pair_list:
         return 0, ()
@@ -226,35 +276,38 @@ def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
                     {comp_of[v] for v in groups[j]}:
                 return INF, None
 
-    pos = {v: i for i, v in enumerate(net.vertices)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in net.vertices]
+    if index is None:
+        index = _SearchIndex(net)
+    adj, distinct = index.adj, index.distinct
     fixed = 0  # bits of the forbidden edges
-    for i, (eid, u, v) in enumerate(net.edges):
-        adj[pos[u]].append((1 << i, pos[v]))
-        adj[pos[v]].append((1 << i, pos[u]))
+    for i, (eid, _, _) in enumerate(net.edges):
         if eid in forbidden:
             fixed |= 1 << i
-    pairs = [([pos[v] for v in groups[i]], [pos[v] for v in groups[j]])
-             for i, j in pair_list]
+    pairs = [index.pair(groups[i], groups[j]) for i, j in pair_list]
 
     # edge set -> (deletable bits of its shortest violating path, in path
     # order, or None when it separates every pair; mask of separated pairs)
-    memo: dict[int, tuple[list[int] | None, int]] = {}
+    memo: dict[int, tuple[Sequence[int] | None, int]] = {}
 
-    def violating(X: int, sep: int) -> tuple[list[int] | None, int]:
+    def violating(X: int, sep: int) -> tuple[Sequence[int] | None, int]:
         # Shortest offending path over the pairs not yet separated.
-        best: list[int] | None = None
-        for k, (left, right) in enumerate(pairs):
+        best: Sequence[int] | None = None
+        for k, (left, right, paths) in enumerate(pairs):
             if sep >> k & 1:
                 continue
-            path = _violating_path(adj, left, right, X)
+            path = paths.get(X, False)
+            if path is False:
+                path = _violating_path(adj, left, right, X)
+                if path is not None:  # equal paths share one tuple
+                    path = distinct.setdefault(path, path)
+                paths[X] = path
             if path is None:
                 sep |= 1 << k
             elif best is None or len(path) < len(best):
                 best = path
                 if len(best) == 1:
                     break
-        if best is not None:
+        if best is not None and fixed:
             best = [bit for bit in best if not bit & fixed]
         return best, sep
 
@@ -288,7 +341,8 @@ def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
 
 
 def _solve_multiway(net: TerminalNetwork, part: Partition,
-                    forbidden: frozenset[int]
+                    forbidden: frozenset[int],
+                    index: _SearchIndex | None = None
                     ) -> tuple[int, tuple[int, ...] | None]:
     blocks = part.blocks
     if len(blocks) <= 1:
@@ -301,17 +355,20 @@ def _solve_multiway(net: TerminalNetwork, part: Partition,
         return value, boundary(net, reach)
     pair_list = [(i, j) for i in range(len(blocks))
                  for j in range(i + 1, len(blocks))]
-    return _solve_separation(net, blocks, pair_list, forbidden)
+    return _solve_separation(net, blocks, pair_list, forbidden, index)
 
 
-def min_multiway_cut(net: TerminalNetwork, part: Partition
+def min_multiway_cut(net: TerminalNetwork, part: Partition, *,
+                     index: _SearchIndex | None = None
                      ) -> tuple[int, tuple[int, ...]]:
     """Minimum edge multiway cut for a partition of the terminals, with a
     witness. Two-block partitions go through max flow; larger ones through
-    iterative-deepening search (refused above the edge ceiling).
+    iterative-deepening search (refused above the edge ceiling), which
+    reads `index` when given one built for `net`.
     """
     _check_partition(net, part)
-    value, witness = _solve_multiway(net, part, frozenset())
+    _check_index(net, index)
+    value, witness = _solve_multiway(net, part, frozenset(), index)
     if value >= INF // 2 or witness is None:
         raise InternalError(f"no finite multiway cut for {part.to_text()}")
     if not is_multiway_cut(net, part, witness):
@@ -321,9 +378,14 @@ def min_multiway_cut(net: TerminalNetwork, part: Partition
     return value, witness
 
 
-def min_multicut(net: TerminalNetwork, requests: CutRequests
+def min_multicut(net: TerminalNetwork, requests: CutRequests, *,
+                 index: _SearchIndex | None = None
                  ) -> tuple[int, tuple[int, ...]]:
-    """Minimum edge multicut for terminal pair requests, with a witness."""
+    """Minimum edge multicut for terminal pair requests, with a witness.
+    A single request goes through max flow, more through the search, which
+    reads `index` when given one built for `net`.
+    """
+    _check_index(net, index)
     pairs = requests.pairs
     if not pairs:
         return 0, ()
@@ -332,12 +394,13 @@ def min_multicut(net: TerminalNetwork, requests: CutRequests
         value, reach = _edge_flow(net, [s], [t])
         return value, boundary(net, reach)
     groups: list[tuple[int, ...]] = []
-    index: dict[int, int] = {}
+    group_of: dict[int, int] = {}
     for v in sorted({x for p in pairs for x in p}):
-        index[v] = len(groups)
+        group_of[v] = len(groups)
         groups.append((v,))
-    pair_list = [(index[u], index[v]) for u, v in pairs]
-    value, witness = _solve_separation(net, groups, pair_list, frozenset())
+    pair_list = [(group_of[u], group_of[v]) for u, v in pairs]
+    value, witness = _solve_separation(net, groups, pair_list, frozenset(),
+                                       index)
     if value >= INF // 2 or witness is None:
         raise InternalError(f"no finite multicut for {len(pairs)} requests")
     if not is_multicut(net, requests, witness):
@@ -365,12 +428,13 @@ def essential_edges(net: TerminalNetwork) -> dict[Partition, tuple[int, ...]]:
     minimum cut. W is ascending, so each tuple is too.
     """
     _check_terminal_count(net)
+    index = _SearchIndex(net)
     out: dict[Partition, tuple[int, ...]] = {}
     for part in all_partitions(net.terminals):
-        base, witness = _solve_multiway(net, part, frozenset())
+        base, witness = _solve_multiway(net, part, frozenset(), index)
         out[part] = tuple(
             e for e in witness
-            if _solve_multiway(net, part, frozenset([e]))[0] > base)
+            if _solve_multiway(net, part, frozenset([e]), index)[0] > base)
     return out
 
 
@@ -402,7 +466,8 @@ class CutValueTable:
 
 def cut_value_table(net: TerminalNetwork) -> CutValueTable:
     _check_terminal_count(net)
-    rows = [(part, min_multiway_cut(net, part)[0])
+    index = _SearchIndex(net)
+    rows = [(part, min_multiway_cut(net, part, index=index)[0])
             for part in all_partitions(net.terminals)]
     rows.sort(key=lambda r: (len(r[0].blocks), r[0].to_text()))
     return CutValueTable(tuple(rows))
@@ -416,7 +481,7 @@ class VerifyReport:
 
 
 def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
-                     spot_checks: int = 100, seed: int = 0) -> VerifyReport:
+                     seed: int = 0) -> VerifyReport:
     """Partition-table equality between two networks on the same terminal
     set, plus randomized multicut spot checks (redundant with the table by
     the partition correspondence; kept as an independent route). Each
@@ -426,10 +491,11 @@ def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
     if set(net.terminals) != set(other.terminals):
         raise InputError("networks must share the terminal set")
     _check_terminal_count(net)
+    index1, index2 = _SearchIndex(net), _SearchIndex(other)
     for part in sorted(all_partitions(net.terminals),
                        key=lambda p: (len(p.blocks), p.to_text())):
-        v1, _ = min_multiway_cut(net, part)
-        v2, _ = min_multiway_cut(other, part)
+        v1, _ = min_multiway_cut(net, part, index=index1)
+        v2, _ = min_multiway_cut(other, part, index=index2)
         if v1 != v2:
             return VerifyReport(
                 False, f"partition {part.to_text()}: {v1} vs {v2}", part)
@@ -437,7 +503,7 @@ def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
     pairs = [(a, b) for i, a in enumerate(terms) for b in terms[i + 1:]]
     rng = random.Random(seed)
     compared: set[int] = set()  # masks of the request sets found equal
-    for _ in range(spot_checks):
+    for _ in range(SPOT_CHECKS):
         if not pairs:
             break
         mask = rng.getrandbits(len(pairs))
@@ -445,8 +511,8 @@ def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
             continue
         chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
         req = CutRequests.of(terms, chosen)
-        v1, _ = min_multicut(net, req)
-        v2, _ = min_multicut(other, req)
+        v1, _ = min_multicut(net, req, index=index1)
+        v2, _ = min_multicut(other, req, index=index2)
         if v1 != v2:
             text = " ".join(f"{a}-{b}" for a, b in chosen)
             return VerifyReport(False, f"requests {text}: {v1} vs {v2}")

@@ -374,6 +374,21 @@ def test_cli_refuses_options_the_command_does_not_read(command, option,
     assert not (tmp_path / "t.txt").exists()
 
 
+@pytest.mark.parametrize("argv, full", [
+    (["reduce", FIX01, "--thr", "2"], ["reduce", FIX01, "--threshold", "2"]),
+    (["verify", FIX01, FIX01, "--s", "5"],
+     ["verify", FIX01, FIX01, "--seed", "5"]),
+])
+def test_cli_refuses_abbreviated_options(argv, full, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli(argv + ["--out", str(tmp_path / "abbrev.txt")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "abbrev.txt").exists()
+    assert cli(full + ["--out", str(tmp_path / "full.txt")]) == 0
+    assert (tmp_path / "full.txt").read_text()
+
+
 def test_each_command_reads_every_option_it_declares(tmp_path):
     # Runs each _cmd_ over argv that reach all of its branches and records
     # the attributes it reads, so a declared option that no branch reads

@@ -279,6 +279,78 @@ def test_search_witnesses_match_recording():
             assert got == (value, tuple(witness)), (case["seed"], mask)
 
 
+def test_shared_index_replays_recording_in_any_order():
+    # one index per network serves every search on it, whatever order the
+    # partitions and request sets come in
+    cases = json.loads(FIXTURE.read_text())
+    rng = random.Random(1606)
+    for case in cases:
+        terms = case["terminals"]
+        net = TerminalNetwork.build(
+            case["vertices"], [tuple(e) for e in case["edges"]], terms)
+        index = oracles._SearchIndex(net)
+        rows = [("mwc", *row) for row in case["multiway"]] + \
+            [("mc", *row) for row in case["multicut"]]
+        rng.shuffle(rows)
+        for kind, key, value, witness in rows:
+            if kind == "mwc":
+                got = min_multiway_cut(
+                    net, Partition.from_text(terms, key), index=index)
+            else:
+                got = min_multicut(
+                    net, CutRequests.of(terms, masked_pairs(terms, key)),
+                    index=index)
+            assert got == (value, tuple(witness)), (case["seed"], kind, key)
+        assert index.paths  # the searches stored their paths in it
+
+
+def per_call_essential(net):
+    # essential_edges' rule with a fresh index for every search
+    out = {}
+    for part in all_partitions(net.terminals):
+        base, witness = oracles._solve_multiway(net, part, frozenset())
+        out[part] = tuple(
+            e for e in witness
+            if oracles._solve_multiway(net, part, frozenset([e]))[0] > base)
+    return out
+
+
+def test_whole_call_index_matches_per_call_results():
+    for seed in range(50):
+        rng = random.Random(1600 + seed)
+        t = 3 + seed % 3
+        net = random_connected_network(
+            rng, n_lo=t + 1, n_hi=8, extra_hi=4, n_terminals=t)
+        table = cut_value_table(net)
+        assert table.entries == tuple(sorted(
+            ((p, min_multiway_cut(net, p)[0])
+             for p in all_partitions(net.terminals)),
+            key=lambda r: (len(r[0].blocks), r[0].to_text()))), seed
+        assert essential_edges(net) == per_call_essential(net), seed
+        # forbidden-edge re-solves of every edge through one index, in a
+        # shuffled order, against a fresh search each
+        index = oracles._SearchIndex(net)
+        solves = [(p, e) for p in all_partitions(net.terminals)
+                  if len(p.blocks) >= 3 for e in net.edge_ids()]
+        rng.shuffle(solves)
+        for part, e in solves:
+            assert oracles._solve_multiway(net, part, frozenset([e]), index) \
+                == oracles._solve_multiway(net, part, frozenset([e])), \
+                (seed, part.to_text(), e)
+
+
+def test_index_of_another_network_is_refused():
+    net, other = c4(), c4()
+    index = oracles._SearchIndex(other)
+    with pytest.raises(InputError, match="another network"):
+        min_multiway_cut(net, singletons(net), index=index)
+    with pytest.raises(InputError, match="another network"):
+        min_multicut(net, CutRequests.of((1, 2, 3, 4), [(1, 2), (3, 4)]),
+                     index=index)
+    assert min_multiway_cut(other, singletons(other), index=index) == \
+        min_multiway_cut(other, singletons(other))
+
+
 # minimum multicut
 
 
@@ -600,9 +672,9 @@ def count_multicut_calls(monkeypatch):
     calls = []
     real = oracles.min_multicut
 
-    def counting(net, requests):
+    def counting(net, requests, *, index=None):
         calls.append(requests.pairs)
-        return real(net, requests)
+        return real(net, requests, index=index)
 
     monkeypatch.setattr("cutmimic.oracles.min_multicut", counting)
     return calls
@@ -622,6 +694,22 @@ def test_verify_solves_each_distinct_request_set_once_per_network(monkeypatch):
         distinct = set(drawn_masks(n_pairs, 100, 3)) - {0}
         assert len(calls) == 2 * len(distinct)
         assert len(set(calls)) == len(distinct)
+
+
+def test_verify_passes_one_index_per_network(monkeypatch):
+    seen = []
+    for name in ("min_multiway_cut", "min_multicut"):
+        def recording(net, what, *, index=None, real=getattr(oracles, name)):
+            seen.append((net, index))
+            return real(net, what, index=index)
+        monkeypatch.setattr(f"cutmimic.oracles.{name}", recording)
+    net, other = c4(), c4()
+    assert verify_mimicking(net, other).ok
+    for n in (net, other):
+        indices = {id(index) for m, index in seen if m is n}
+        assert len(indices) == 1
+        assert next(index for m, index in seen if m is n).net is n
+    assert len(seen) > 2 * len(list(all_partitions(net.terminals)))
 
 
 def undeduplicated_verify(net, other, spot_checks=100, seed=0):
@@ -648,7 +736,7 @@ def test_verify_dedup_reports_first_mismatch_in_draw_order(monkeypatch):
     doubled = TerminalNetwork.build(
         [1, 2, 3], [(1, 1, 2), (2, 2, 3), (3, 1, 2)], (1, 2, 3))
     monkeypatch.setattr("cutmimic.oracles.min_multiway_cut",
-                        lambda *args: (0, ()))
+                        lambda *args, **kwargs: (0, ()))
     for seed in range(10):
         expected = undeduplicated_verify(net, doubled, seed=seed)
         assert not expected.ok

@@ -306,5 +306,5 @@ def test_default_reduction_exact_on_small_corpus():
             rng, n_lo=4, n_hi=9, extra_hi=4,
             n_terminals=rng.choice([2, 3]), cap_max=6)
         out, _ = mimicking_network(net, ReduceParams())
-        report = verify_mimicking(net, out, spot_checks=20)
+        report = verify_mimicking(net, out)
         assert report.ok, (seed, report.detail)

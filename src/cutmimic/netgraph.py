@@ -15,7 +15,10 @@ pass, _edited, which filters the parent's sorted tuples and skips build's
 checks: they cannot fail on a network derived from a valid one, so build
 validates only outside data. A network carries no cached index: inputs
 often stay alive for a whole run, and a cached adjacency raised the peak RSS
-of the sparse-chains benchmark from 30 MB to 44 MB.
+of the sparse-chains benchmark from 30 MB to 44 MB. degree2_reduce instead
+keeps its own index for the length of one call: it finds each next event
+from that index and applies the events one by one through
+apply_local_event.
 
 Text format (one network per file):
 
@@ -289,13 +292,24 @@ def degree2_reduce(net: TerminalNetwork
                    ) -> tuple[TerminalNetwork, tuple[LocalEvent, ...]]:
     """Exhaustively apply the always-safe local rules.
 
-    Deletes connected components containing no terminal, deletes non-terminal
-    leaves, and contracts the lowest-id edge at each non-terminal vertex of
-    degree 2, except when both incident edges join the same endpoint pair
-    (kept to preserve multiplicity). No minimum multiway cut value over any
-    partition of T changes. Returns the reduced network and the event list in
-    application order.
+    First deletes every connected component containing no terminal, one
+    DeleteComponent each, in order of least vertex. Then, one event at a
+    time: the least-id non-terminal leaf is deleted; if there is none, the
+    least-id non-terminal vertex of degree 2 with two distinct neighbours
+    has its lower-id edge contracted. A vertex whose two edges join the same
+    pair is kept, to preserve multiplicity. No minimum multiway cut value
+    over any partition of T changes.
+
+    Each next event is found from an index kept for this call only: vertex
+    -> {edge id: other endpoint}, a min-heap of leaves and one of
+    contractible degree-2 vertices. After an event only the vertex that lost
+    or gained edges is re-pushed, and stale heap entries are dropped when
+    popped. Every event is applied to the network by apply_local_event.
+    Returns the reduced network and the event list in application order.
     """
+    # Imported here so that importing the package does not load heapq.
+    from heapq import heappop, heappush
+
     tset = set(net.terminals)
     # Dropping a non-terminal leaf or contracting at a non-terminal degree-2
     # vertex never strands a component without terminals, so the
@@ -305,21 +319,57 @@ def degree2_reduce(net: TerminalNetwork
     cur = net
     for dead in events:
         cur = apply_local_event(cur, dead)
+    nbrs = {v: dict(ends) for v, ends in cur.adjacency().items()}
+
+    def kind(v: int) -> int:
+        """1 for a leaf, 2 for a contractible degree-2 vertex, else 0."""
+        ends = nbrs.get(v)
+        if ends is None or v in tset:
+            return 0
+        if len(ends) == 1:
+            return 1
+        return 2 if len(ends) == 2 and len(set(ends.values())) == 2 else 0
+
+    heaps: dict[int, list[int]] = {1: [], 2: []}
+
+    def push(v: int) -> None:
+        k = kind(v)
+        if k:
+            heappush(heaps[k], v)
+
+    for v in cur.vertices:
+        push(v)
     while True:
-        adj = cur.adjacency()
-        ev: LocalEvent | None = next(
-            (DeleteLeaf(v) for v in cur.vertices
-             if v not in tset and len(adj[v]) == 1), None)
-        if ev is None:
-            for v in cur.vertices:
-                if v in tset or len(adj[v]) != 2:
-                    continue
-                (e1, w1), (e2, w2) = adj[v]
-                if w1 != w2:  # a parallel pair is kept to preserve multiplicity
-                    ev = Contract(min(e1, e2))
-                    break
-        if ev is None:
+        for k, heap in heaps.items():  # leaves first
+            while heap and kind(heap[0]) != k:
+                heappop(heap)
+            if heap:
+                v = heappop(heap)
+                break
+        else:
             return cur, tuple(events)
+        if k == 1:
+            ((eid, w),) = nbrs.pop(v).items()
+            del nbrs[w][eid]
+            push(w)
+            ev: LocalEvent = DeleteLeaf(v)
+        else:
+            eid = min(nbrs[v])
+            w = nbrs[v][eid]
+            # the merged vertex is the one contract_edge keeps
+            keep, gone = (w, v) if w in tset or w < v else (v, w)
+            kept = nbrs[keep]
+            for e, x in nbrs.pop(gone).items():
+                if x == keep:  # a copy of the contracted edge: now a loop
+                    del kept[e]
+                else:
+                    # x keeps its degree, and renaming its end can merge
+                    # two distinct neighbours but never split them, so
+                    # x cannot become a candidate and needs no push
+                    kept[e] = x
+                    nbrs[x][e] = keep
+            push(keep)
+            ev = Contract(eid)
         events.append(ev)
         cur = apply_local_event(cur, ev)
 

@@ -1,8 +1,9 @@
 """degree2_reduce against a reference copy of its earlier loop.
 
-The reference re-finds terminal-free components after every event and
-applies each event inline; degree2_reduce deletes those components once, up
-front, and applies every event through apply_local_event. Both must return
+The reference re-finds terminal-free components and rescans every vertex
+after every event, and applies each event inline; degree2_reduce deletes
+those components once, up front, finds each next event from a per-call
+index and applies every event through apply_local_event. Both must return
 the identical (network, events) pair on every input.
 """
 
@@ -111,6 +112,59 @@ def random_multigraph(rng):
     terminals = rng.sample(core, min(n_terms, len(core)))
     net = TerminalNetwork.build(vertices, edges, terminals)
     return net, any(u == v for u, v in pairs)
+
+
+def chain_heavy_network(rng, n_edges):
+    """A network shaped like the sparse-chains benchmark inputs, of about
+    n_edges edges: each edge of a small random core becomes a subdivided
+    chain, terminal-free cycles hang off random vertices, and pendant trees
+    fill up the rest. Vertex and edge ids are shuffled so the least-id
+    choices of the rules are exercised.
+    """
+    core_n = rng.randint(7, 10)
+    fresh = iter(range(core_n + 1, 3 * n_edges))
+    vertices = list(range(1, core_n + 1))
+    pairs = []
+    for _ in range(20):  # each core edge becomes a chain
+        prev, end = rng.sample(vertices[:core_n], 2)
+        for _ in range(rng.randint(1, n_edges // 20)):
+            w = next(fresh)
+            pairs.append((prev, w))
+            vertices.append(w)
+            prev = w
+        pairs.append((prev, end))
+    for _ in range(3):  # terminal-free cycles through one vertex
+        anchor = prev = rng.choice(vertices)
+        for _ in range(rng.randint(2, n_edges // 40 + 2)):
+            w = next(fresh)
+            pairs.append((prev, w))
+            vertices.append(w)
+            prev = w
+        pairs.append((prev, anchor))
+    while len(pairs) < n_edges:  # pendant trees
+        tree = [rng.choice(vertices)]
+        for _ in range(rng.randint(1, 25)):
+            w = next(fresh)
+            pairs.append((rng.choice(tree), w))
+            tree.append(w)
+        vertices += tree[1:]
+    name = dict(zip(vertices, rng.sample(range(1, 3 * len(vertices)),
+                                         len(vertices))))
+    ids = rng.sample(range(1, 2 * len(pairs)), len(pairs))
+    edges = [(e, name[u], name[v]) for e, (u, v) in zip(ids, pairs)]
+    terminals = [name[t] for t in rng.sample(range(1, core_n + 1),
+                                              rng.randint(2, 5))]
+    return TerminalNetwork.build(name.values(), edges, terminals)
+
+
+def test_degree2_reduce_matches_reference_on_chain_heavy_networks():
+    for seed, n_edges in ((1, 300), (2, 700), (3, 1200)):
+        net = chain_heavy_network(random.Random(seed), n_edges)
+        expected = reference_degree2_reduce(net)
+        assert degree2_reduce(net) == expected, seed
+        kinds = Counter(type(ev) for ev in expected[1])
+        assert kinds[Contract] >= n_edges // 4, (seed, kinds)
+        assert kinds[DeleteLeaf] >= n_edges // 4, (seed, kinds)
 
 
 def test_degree2_reduce_matches_reference():

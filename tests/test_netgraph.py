@@ -3,12 +3,15 @@ local reduction rules, partitions, and the text format.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cutmimic import netgraph
 from cutmimic.errors import InputError, TerminalContractionError
 from cutmimic.netgraph import (
+    Contract,
     CutRequests,
     DeleteComponent,
     DeleteLeaf,
@@ -289,6 +292,34 @@ def test_degree2_reduce_preserves_cut_values():
         net = random_connected_network(rng, n_hi=8, n_terminals=3)
         out, _ = degree2_reduce(net)
         assert cut_value_table(net).entries == cut_value_table(out).entries
+
+
+def test_degree2_reduce_cost_shape(monkeypatch):
+    """Each next event comes from an index built once per call, so the
+    number of adjacency builds does not grow with the network; and each
+    contraction is one contract_edge call, as the benchmark's span counts."""
+    calls = Counter()
+    adjacency, contract = TerminalNetwork.adjacency, netgraph.contract_edge
+
+    def counted_adjacency(net):
+        calls["adjacency"] += 1
+        return adjacency(net)
+
+    def counted_contract(net, eid):
+        calls["contract_edge"] += 1
+        return contract(net, eid)
+
+    monkeypatch.setattr(TerminalNetwork, "adjacency", counted_adjacency)
+    monkeypatch.setattr(netgraph, "contract_edge", counted_contract)
+    builds = {}
+    for length in (10, 1000):
+        calls.clear()
+        out, events = degree2_reduce(path_network(length))
+        assert out.m == 1
+        contractions = sum(isinstance(ev, Contract) for ev in events)
+        assert calls["contract_edge"] == contractions == length - 1
+        builds[length] = calls["adjacency"]
+    assert builds[10] == builds[1000]
 
 
 def test_boundary_sum_bound():

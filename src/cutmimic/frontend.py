@@ -243,7 +243,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.what == "essential":
         per = essential_edges(net)
         lines = []
-        for part in sorted(per, key=lambda p: (len(p.blocks), p.to_text())):
+        for part in per:
             ids = " ".join(str(e) for e in per[part])
             lines.append(f"{part.to_text()}: {ids}".rstrip())
         _emit("\n".join(lines) + "\n", args.out)

@@ -434,12 +434,14 @@ class Partition:
 
 
 def all_partitions(terminals: Sequence[int]) -> Iterator[Partition]:
-    """Every partition of the terminal set, deterministic order."""
-    terms = sorted(terminals)
+    """Every partition of the terminal set in canonical order, the order
+    every report lists partitions in: by block count, then by text form.
+    """
+    terms = sorted(set(terminals))
 
-    def rec(items: list[int], acc: list[list[int]]) -> Iterator[list[list[int]]]:
-        if not items:
-            yield [list(b) for b in acc]
+    def rec(items: list[int], acc: list[list[int]]) -> Iterator[Partition]:
+        if not items:  # acc is canonical: sorted blocks, by least member
+            yield Partition(tuple(map(tuple, acc)))
             return
         head, rest = items[0], items[1:]
         for i in range(len(acc)):
@@ -450,8 +452,7 @@ def all_partitions(terminals: Sequence[int]) -> Iterator[Partition]:
         yield from rec(rest, acc)
         acc.pop()
 
-    for blocks in rec(terms, []):
-        yield Partition.of(terms, blocks)
+    yield from sorted(rec(terms, []), key=lambda p: (p.size, p.to_text()))
 
 
 @dataclass(frozen=True)
@@ -535,9 +536,8 @@ def format_network(net: TerminalNetwork) -> str:
     Vertices appear only through t/e lines, so an isolated non-terminal vertex
     is not representable and is dropped from the header count.
     """
-    adj = net.adjacency()
-    visible = sorted(v for v in net.vertices
-                     if v in net.terminals or adj[v])
+    visible = {u for _, u, _ in net.edges}  # every endpoint and terminal
+    visible.update((v for _, _, v in net.edges), net.terminals)
     lines = [f"p tn {len(visible)} {net.m} {len(net.terminals)}"]
     for t in net.terminals:
         lines.append(f"t {t}")

@@ -2,7 +2,10 @@
 
 Flow-based routes (bipartitions, single requests, closest cuts) are exact at
 any size this package handles; partition counts and branch-and-bound searches
-are guarded by explicit ceilings and refuse rather than grind.
+are guarded by explicit ceilings and refuse rather than grind. Every flow
+runs in `min_cut_side`, every cut read off a flow comes from
+`closest_min_cut` (which checks its size against the flow value), and every
+component test reads one vertex -> component map, `_component_of`.
 
 Essentiality is decided by re-solving with the edge made undeletable
 (infinite capacity) and comparing values, never by enumerating witnesses;
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError, RefusedError
@@ -57,14 +59,13 @@ SPOT_CHECKS = 100  # multicut request sets `verify_mimicking` draws
 
 # -- max flow with removable / undeletable edges -----------------------------
 
-def _edge_flow(net: TerminalNetwork, A: Iterable[int], B: Iterable[int],
-               forbidden: frozenset[int] = frozenset()
-               ) -> tuple[int, frozenset[int]]:
-    """Unit-capacity undirected max flow from vertex set A to vertex set B.
-
-    Edges in `forbidden` have infinite capacity (they can never be cut).
-    Returns (value, residual-reachable vertex set from A); value is INF when
-    A and B stay connected through forbidden edges alone.
+def min_cut_side(net: TerminalNetwork, A: Iterable[int], B: Iterable[int], *,
+                 forbidden: frozenset[int] = frozenset()
+                 ) -> tuple[int, frozenset[int]]:
+    """Minimum (A,B) cut value and the inclusion-minimal A-side vertex set,
+    by unit-capacity undirected max flow: the residual-reachable set from A.
+    Edges in `forbidden` have infinite capacity (they can never be cut);
+    the value is INF when A and B stay connected through them alone.
     """
     aset, bset = set(A), set(B)
     vset = set(net.vertices)
@@ -77,13 +78,9 @@ def _edge_flow(net: TerminalNetwork, A: Iterable[int], B: Iterable[int],
     if net.m > FLOW_EDGE_CEILING:
         raise RefusedError(f"{net.m} edges exceeds flow ceiling {FLOW_EDGE_CEILING}")
 
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in net.vertices}
-    rem: dict[int, dict[int, int]] = {}
-    for eid, u, v in net.edges:
-        c = INF if eid in forbidden else 1
-        rem[eid] = {u: c, v: c}
-        incident[u].append((eid, v))
-        incident[v].append((eid, u))
+    incident = net.adjacency()
+    rem = {eid: {u: INF, v: INF} if eid in forbidden else {u: 1, v: 1}
+           for eid, u, v in net.edges}  # edge -> residual out of each end
 
     value = 0
     while True:
@@ -123,18 +120,12 @@ def _edge_flow(net: TerminalNetwork, A: Iterable[int], B: Iterable[int],
         value += delta
 
 
-def min_cut_side(net: TerminalNetwork, A: Iterable[int],
-                 B: Iterable[int]) -> tuple[int, frozenset[int]]:
-    """Minimum (A,B) cut value and the inclusion-minimal A-side vertex set."""
-    return _edge_flow(net, A, B)
-
-
 def closest_min_cut(net: TerminalNetwork, A: Iterable[int],
                     B: Iterable[int]) -> tuple[int, ...]:
     """The unique minimum (A,B) edge cut with inclusion-minimal A-side,
     read off as the boundary of the residual-reachable set after max flow.
     """
-    value, reach = _edge_flow(net, A, B)
+    value, reach = min_cut_side(net, A, B)
     cut = boundary(net, reach)
     if len(cut) != value:
         raise InternalError(
@@ -150,22 +141,27 @@ def _check_partition(net: TerminalNetwork, part: Partition) -> None:
         raise InputError("partition must cover exactly the terminal set")
 
 
+def _component_of(net: TerminalNetwork, removed: Iterable[int]
+                  ) -> dict[int, int]:
+    """Vertex -> index of its component in net minus the edge ids `removed`."""
+    return {v: i for i, comp in enumerate(components(net, removed))
+            for v in comp}
+
+
 def is_multiway_cut(net: TerminalNetwork, part: Partition,
                     X: Iterable[int]) -> bool:
-    tset = set(net.terminals)
-    for comp in components(net, X):
-        blocks_met = {part.block_of(t) for t in comp if t in tset}
-        if len(blocks_met) > 1:
-            return False
+    comp_of = _component_of(net, X)
+    block_in: dict[int, int] = {}  # component -> the one block it meets
+    for i, block in enumerate(part.blocks):
+        for t in block:
+            if block_in.setdefault(comp_of[t], i) != i:
+                return False
     return True
 
 
 def is_multicut(net: TerminalNetwork, requests: CutRequests,
                 X: Iterable[int]) -> bool:
-    comp_of = {}
-    for i, comp in enumerate(components(net, X)):
-        for v in comp:
-            comp_of[v] = i
+    comp_of = _component_of(net, X)
     return all(comp_of[u] != comp_of[v] for u, v in requests.pairs)
 
 
@@ -268,9 +264,7 @@ def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
         raise RefusedError(
             f"{net.m} edges exceeds search ceiling {BB_EDGE_CEILING}")
     if forbidden:  # a pair joined by forbidden edges alone cannot be cut
-        deletable = [e for e in net.edge_ids() if e not in forbidden]
-        comp_of = {v: c for c, comp in enumerate(components(net, deletable))
-                   for v in comp}
+        comp_of = _component_of(net, set(net.edge_ids()) - forbidden)
         for i, j in pair_list:
             if {comp_of[v] for v in groups[i]} & \
                     {comp_of[v] for v in groups[j]}:
@@ -348,11 +342,10 @@ def _solve_multiway(net: TerminalNetwork, part: Partition,
     if len(blocks) <= 1:
         return 0, ()
     if len(blocks) == 2:
-        value, reach = _edge_flow(net, blocks[0], blocks[1],
-                                  forbidden=forbidden)
-        if value >= INF // 2:
-            return INF, None
-        return value, boundary(net, reach)
+        if forbidden:  # only essential_edges forbids, and it reads the value
+            return min_cut_side(net, *blocks, forbidden=forbidden)[0], None
+        cut = closest_min_cut(net, *blocks)
+        return len(cut), cut
     pair_list = [(i, j) for i in range(len(blocks))
                  for j in range(i + 1, len(blocks))]
     return _solve_separation(net, blocks, pair_list, forbidden, index)
@@ -391,16 +384,13 @@ def min_multicut(net: TerminalNetwork, requests: CutRequests, *,
         return 0, ()
     if len(pairs) == 1:
         (s, t), = pairs
-        value, reach = _edge_flow(net, [s], [t])
-        return value, boundary(net, reach)
-    groups: list[tuple[int, ...]] = []
-    group_of: dict[int, int] = {}
-    for v in sorted({x for p in pairs for x in p}):
-        group_of[v] = len(groups)
-        groups.append((v,))
+        cut = closest_min_cut(net, [s], [t])
+        return len(cut), cut
+    ends = sorted({x for p in pairs for x in p})
+    group_of = {v: i for i, v in enumerate(ends)}
     pair_list = [(group_of[u], group_of[v]) for u, v in pairs]
-    value, witness = _solve_separation(net, groups, pair_list, frozenset(),
-                                       index)
+    value, witness = _solve_separation(net, [(v,) for v in ends], pair_list,
+                                       frozenset(), index)
     if value >= INF // 2 or witness is None:
         raise InternalError(f"no finite multicut for {len(pairs)} requests")
     if not is_multicut(net, requests, witness):
@@ -425,7 +415,8 @@ def essential_edges(net: TerminalNetwork) -> dict[Partition, tuple[int, ...]]:
     An edge is essential iff making it undeletable (infinite capacity)
     strictly raises the minimum value. Only the edges of one minimum witness
     W are tried: W avoids every other edge, so none of those is in every
-    minimum cut. W is ascending, so each tuple is too.
+    minimum cut. W is ascending, so each tuple is too, and the keys come
+    in `all_partitions` order.
     """
     _check_terminal_count(net)
     index = _SearchIndex(net)
@@ -467,10 +458,9 @@ class CutValueTable:
 def cut_value_table(net: TerminalNetwork) -> CutValueTable:
     _check_terminal_count(net)
     index = _SearchIndex(net)
-    rows = [(part, min_multiway_cut(net, part, index=index)[0])
-            for part in all_partitions(net.terminals)]
-    rows.sort(key=lambda r: (len(r[0].blocks), r[0].to_text()))
-    return CutValueTable(tuple(rows))
+    return CutValueTable(tuple(
+        (part, min_multiway_cut(net, part, index=index)[0])
+        for part in all_partitions(net.terminals)))
 
 
 @dataclass(frozen=True)
@@ -492,8 +482,7 @@ def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
         raise InputError("networks must share the terminal set")
     _check_terminal_count(net)
     index1, index2 = _SearchIndex(net), _SearchIndex(other)
-    for part in sorted(all_partitions(net.terminals),
-                       key=lambda p: (len(p.blocks), p.to_text())):
+    for part in all_partitions(net.terminals):
         v1, _ = min_multiway_cut(net, part, index=index1)
         v2, _ = min_multiway_cut(other, part, index=index2)
         if v1 != v2:
@@ -524,19 +513,11 @@ def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
 
 def cut_covering_set(net: TerminalNetwork) -> tuple[int, ...]:
     """Union over terminal bipartitions of the closest minimum cut, taking
-    as A-side the part holding the smallest terminal.
+    as A-side the block holding the smallest terminal (the first block).
     """
     _check_terminal_count(net)
-    terms = sorted(net.terminals)
-    if len(terms) < 2:
-        return ()
-    rest = terms[1:]
     out: set[int] = set()
-    for size in range(len(rest) + 1):
-        for extra in combinations(rest, size):
-            A = {terms[0], *extra}
-            B = set(terms) - A
-            if not B:
-                continue
-            out.update(closest_min_cut(net, A, B))
+    for part in all_partitions(net.terminals):
+        if part.size == 2:
+            out.update(closest_min_cut(net, *part.blocks))
     return tuple(sorted(out))

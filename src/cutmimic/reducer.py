@@ -138,35 +138,27 @@ def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
             events.append(Stop("base"))
             return work, events
 
+        # Each branch yields the edges it may contract: the depth limit, a
+        # marking refusal (every edge marked) and an empty set all saturate.
+        candidates: set[int] = set()
         verdict = run_tester(work, c, params)
         if verdict.is_sparse:
             assert verdict.witness is not None
-            if depth >= MAX_DEPTH:
-                events.append(Stop("saturated"))
-                return work, events
-            sub = recursive_instance(work, verdict.witness)
-            events.append(Recurse(verdict.witness, depth + 1))
-            sub_final, _sub_events = _reduce(sub, params, mark_base, rng,
-                                             depth + 1)
-            eid = _contractible(work, set(sub.edge_ids())
-                                - set(sub_final.edge_ids()))
-            if eid is None:
-                events.append(Stop("saturated"))
-                return work, events
-            work = contract_edge(work, eid)
-            events.append(Contract(eid))
-            continue
-
-        # Dense: mark and contract the lowest unmarked edge. A refusal means
-        # marking everything, which leaves nothing to contract.
-        call_params = replace(mark_base, seed=rng.randrange(1 << 62))
-        try:
-            result = mark(work, call_params)
-        except MarkingRefusedError:
-            events.append(Stop("saturated"))
-            return work, events
-        events.append(MarkStats(len(result.marked), c, call_params.i0))
-        eid = _contractible(work, set(work.edge_ids()) - set(result.marked))
+            if depth < MAX_DEPTH:
+                sub = recursive_instance(work, verdict.witness)
+                events.append(Recurse(verdict.witness, depth + 1))
+                sub_final = _reduce(sub, params, mark_base, rng, depth + 1)[0]
+                candidates = set(sub.edge_ids()) - set(sub_final.edge_ids())
+        else:  # dense: the unmarked edges
+            call_params = replace(mark_base, seed=rng.randrange(1 << 62))
+            try:
+                result = mark(work, call_params)
+            except MarkingRefusedError:
+                pass
+            else:
+                events.append(MarkStats(len(result.marked), c, call_params.i0))
+                candidates = set(work.edge_ids()) - set(result.marked)
+        eid = _contractible(work, candidates)
         if eid is None:
             events.append(Stop("saturated"))
             return work, events

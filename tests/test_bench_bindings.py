@@ -69,7 +69,8 @@ def test_keep_counters_read_nonzero_on_cli_runs(tracer, tmp_path):
     try:
         for argv in (["mark", FIX01, "--c", "6", "--i0", "2"],
                      ["reduce", FIX01],
-                     ["tester", FIX01, "--c", "2"]):
+                     ["tester", FIX01, "--c", "2"],
+                     ["verify", FIX01, FIX01]):
             argv += ["--out", str(tmp_path / "out.txt")]
             assert t.op(lambda: cli(argv)) == 0
     finally:
@@ -84,5 +85,8 @@ def test_keep_counters_read_nonzero_on_cli_runs(tracer, tmp_path):
                  "tester.exact_tester.calls",
                  # perfbench/selftest.py needs this span on sparse-chains, so
                  # Contract events must keep passing through contract_edge
-                 "netgraph.contract_edge.calls"):
+                 "netgraph.contract_edge.calls",
+                 # every flow, verify's two-block partitions included, runs
+                 # through the one traced flow routine
+                 "oracles.min_cut_side.calls"):
         assert metrics[name] > 0, name

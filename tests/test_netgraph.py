@@ -369,6 +369,11 @@ class TestPartition:
         assert len(list(all_partitions([1, 2, 3]))) == 5
         assert len(list(all_partitions([1, 2, 3, 4]))) == 15
         assert len(list(all_partitions([1, 2, 3, 4, 5]))) == 52
+        # canonical order: every report lists partitions without sorting
+        for t in range(1, 6):
+            parts = list(all_partitions(list(range(t, 0, -1))))
+            assert parts == sorted(parts,
+                                   key=lambda p: (p.size, p.to_text())), t
 
 
 class TestRequests:

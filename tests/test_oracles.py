@@ -162,13 +162,13 @@ def test_multiway_refuses_above_edge_ceiling(monkeypatch):
 
 def count_flow_calls(monkeypatch):
     calls = []
-    real = oracles._edge_flow
+    real = oracles.min_cut_side
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr("cutmimic.oracles._edge_flow", counting)
+    monkeypatch.setattr("cutmimic.oracles.min_cut_side", counting)
     return calls
 
 
@@ -516,6 +516,33 @@ def test_closest_cut_side_is_inclusion_minimal():
             if b in side:
                 continue
             assert reach <= side, (seed, X)
+
+
+def test_flow_forbidden_edges_match_brute_force():
+    # forbidden edges cannot be cut: INF exactly when they alone join A to
+    # B, else the least cut over edge sets that avoid them
+    for seed in range(16):  # 9 INF, 7 finite
+        rng = random.Random(450 + seed)
+        net = random_connected_network(
+            rng, n_lo=3, n_hi=7, extra_hi=4, n_terminals=3)
+        ids = net.edge_ids()
+        F = frozenset(rng.sample(ids, rng.randint(1, len(ids) // 2)))
+        A, B = net.terminals[:1], net.terminals[1:]
+        value, _ = min_cut_side(net, A, B, forbidden=F)
+        cuttable = [e for e in ids if e not in F]
+
+        def separated(removed):
+            side = next(c for c in naive_components(net, removed)
+                        if A[0] in c)
+            return not side & set(B)
+
+        if not separated(set(cuttable)):
+            assert value == oracles.INF, seed
+            continue
+        best = next(r for r in range(len(cuttable) + 1)
+                    if any(separated(set(X))
+                           for X in itertools.combinations(cuttable, r)))
+        assert value == best, seed
 
 
 def test_flow_refuses_huge_graphs():

@@ -2,9 +2,10 @@
 Prime fields and linear matroid representations
 ===============================================
 
-The marking machinery works with matroids given as matrices over a large
-prime field. This script builds the three kinds used by the pipeline and
-checks each against a first-principles notion of independence.
+The marking machinery works with matroids given as columns over a large
+prime field, one column per ground element. This script builds the three
+kinds used by the pipeline and checks each against a first-principles
+notion of independence.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import random
 import sys
 from pathlib import Path
 
-from cutmimic.ffield import MERSENNE61, PrimeField, rank
+from cutmimic.ffield import MERSENNE61, PrimeField
 from cutmimic.matroids import (
     build_edge_cut_gammoid_digraph,
     gammoid_rep,
@@ -21,22 +22,22 @@ from cutmimic.matroids import (
 )
 from cutmimic.netgraph import TerminalNetwork
 
-# The disjoint-path flow oracle is reference code from the test suite, not
-# part of the library: it is the independent check the gammoid is held to.
+# The disjoint-path flow oracle and the rank of a column set are reference
+# code from the test suite, not part of the library: they are the
+# independent checks the layers are held to.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from reference import is_independent_by_flow  # noqa: E402
+from reference import is_independent_by_flow, rank  # noqa: E402
 
 F = PrimeField(MERSENNE61)
 print("field: integers mod", F.p)
-print("arithmetic sample: (1/7) * 7 =", F.reduce(F.inv(7) * 7))
+print("arithmetic sample: (1/7) * 7 =", pow(7, -1, F.p) * 7 % F.p)
 
 # uniform matroid: independent iff the subset is small enough
 u = uniform_rep(F, ["a", "b", "c", "d", "e"], 3)
 print()
-print("uniform U(5,3) matrix is", u.matrix.rows, "x", u.matrix.cols)
+print("uniform U(5,3) has", len(u.columns), "columns of", u.rows, "entries")
 for size in (2, 3, 4):
-    sub = u.matrix.submatrix_columns(list(range(size)))
-    print(f"  first {size} columns: rank {rank(sub)}")
+    print(f"  first {size} columns: rank {rank(F, u.columns[:size])}")
 
 # graphic matroid: independent iff the edge set is a forest
 net = TerminalNetwork.build(
@@ -46,10 +47,10 @@ net = TerminalNetwork.build(
 g = graphic_rep(F, random.Random(1), net, max_rank=3)
 print()
 print("graphic matroid over a triangle plus a pendant edge")
-triangle = [g.ground.index(e) for e in (1, 2, 3)]
-tree = [g.ground.index(e) for e in (1, 2, 4)]
-print("  cycle {1,2,3} rank:", rank(g.matrix.submatrix_columns(triangle)))
-print("  tree  {1,2,4} rank:", rank(g.matrix.submatrix_columns(tree)))
+triangle = [g.column_of(e) for e in (1, 2, 3)]
+tree = [g.column_of(e) for e in (1, 2, 4)]
+print("  cycle {1,2,3} rank:", rank(F, triangle))
+print("  tree  {1,2,4} rank:", rank(F, tree))
 
 # edge-cut gammoid: independence encodes edge-disjoint linkages from the
 # terminal-incident edges, checked against a direct flow computation
@@ -62,7 +63,7 @@ agree = total = 0
 for size in (1, 2, 3):
     for cols in itertools.combinations(range(len(rep.ground)), size):
         sub = [rep.ground[i] for i in cols]
-        by_rank = rank(rep.matrix.submatrix_columns(list(cols))) == size
+        by_rank = rank(F, [rep.columns[i] for i in cols]) == size
         by_flow = is_independent_by_flow(inst.digraph, inst.sources, sub)
         agree += by_rank == by_flow
         total += 1

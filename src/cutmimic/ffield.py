@@ -1,15 +1,22 @@
-"""Prime-field scalars, dense matrices and greedy bases of vectors.
+"""Prime fields, greedy bases of vectors and the columns built from them.
 
 Entries are plain Python ints reduced into [0, p). The default modulus is the
-Mersenne prime 2^61 - 1; products of two reduced entries exceed 64 bits, which
-is why matrices are row-major int lists rather than fixed-width arrays.
+Mersenne prime 2^61 - 1; products of two reduced entries exceed 64 bits, so
+vectors are int lists rather than fixed-width arrays. The marking stage
+keeps every matroid layer as one such list per ground element (a column)
+and never forms a matrix.
 
-The marking stage's selection works on plain lists of vectors, not on a
-matrix: select_independent_columns scans them in the caller's order and
-keeps each one outside the span of those kept before it. That kept set is a
-property of the vectors alone, so it does not depend on how the reduction
-is organised: it reduces lazily, reading each factor mod p but leaving a
-vector's entries unreduced until its lead is needed.
+select_independent_columns scans a list of vectors in the caller's order
+and keeps each one outside the span of those kept before it. That kept set
+is a property of the vectors alone, so it does not depend on how the
+reduction is organised: it reduces lazily, reading each factor mod p but
+leaving a vector's entries unreduced until its lead is needed. It is the
+one elimination routine of the engine: a truncated graphic layer's rank
+check and the representative-set selection both run it.
+
+kronecker_column tensors one column per layer; the caller bounds the
+tensor's dimension (the marker refuses above its tensor limit before it
+builds any). vandermonde gives the uniform layer's columns.
 
 random_nonzeros draws a batch of nonzero entries with the values, and the
 rng state, of one randrange(1, p) call per entry, without that call's
@@ -22,10 +29,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import FieldTooSmallError, InputError, RefusedError
+from .errors import FieldTooSmallError, InputError
 
 MERSENNE61 = (1 << 61) - 1
-KRONECKER_LIMIT = 1_000_000
 
 # Deterministic Miller-Rabin witness set: the first 13 primes decide every
 # n below MR_EXACT_BELOW exactly. The bound itself is a composite that all
@@ -73,114 +79,6 @@ class PrimeField:
         if self.p < 3:
             raise InputError("modulus must be an odd prime")
 
-    def reduce(self, x: int) -> int:
-        return x % self.p
-
-    def inv(self, x: int) -> int:
-        if x % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(x, -1, self.p)
-
-
-class PrimeFieldMatrix:
-    """Dense row-major matrix over a prime field."""
-
-    __slots__ = ("field", "rows", "cols", "data")
-
-    def __init__(self, field: PrimeField, rows: int, cols: int,
-                 data: list[int] | None = None):
-        if rows < 0 or cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [0] * (rows * cols)
-        else:
-            if len(data) != rows * cols:
-                raise InputError("data length does not match dimensions")
-            self.data = [x % field.p for x in data]
-
-    @staticmethod
-    def identity(field: PrimeField, nn: int) -> "PrimeFieldMatrix":
-        m = PrimeFieldMatrix(field, nn, nn)
-        for i in range(nn):
-            m.data[i * nn + i] = 1
-        return m
-
-    @staticmethod
-    def from_rows(field: PrimeField, rows: Sequence[Sequence[int]]) -> "PrimeFieldMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise InputError("ragged rows")
-        flat = [x for row in rows for x in row]
-        return PrimeFieldMatrix(field, r, c, flat)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i * self.cols + j]
-
-    def row(self, i: int) -> list[int]:
-        return self.data[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> list[int]:
-        return self.data[j::self.cols] if self.cols else []
-
-    def transpose(self) -> "PrimeFieldMatrix":
-        out = PrimeFieldMatrix(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                out.data[j * self.rows + i] = self.data[base + j]
-        return out
-
-    def submatrix_columns(self, col_idxs: Sequence[int]) -> "PrimeFieldMatrix":
-        out = PrimeFieldMatrix(self.field, self.rows, len(col_idxs))
-        for i in range(self.rows):
-            base = i * self.cols
-            obase = i * len(col_idxs)
-            for jj, j in enumerate(col_idxs):
-                out.data[obase + jj] = self.data[base + j]
-        return out
-
-    def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols} {self.field.p}"]
-        for i in range(self.rows):
-            lines.append(" ".join(str(x) for x in self.row(i)))
-        return "\n".join(lines) + "\n"
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, PrimeFieldMatrix)
-                and self.field.p == other.field.p
-                and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
-
-
-def rank(matrix: PrimeFieldMatrix) -> int:
-    """Rank by fraction-free elimination with partial pivoting by first
-    nonzero. Eliminates on whichever orientation has fewer rows.
-    """
-    if matrix.rows > matrix.cols:
-        matrix = matrix.transpose()
-    p = matrix.field.p
-    work = [matrix.row(i) for i in range(matrix.rows)]
-    r = 0
-    for col in range(matrix.cols):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][col]
-        for i in range(r + 1, len(work)):
-            f = work[i][col]
-            if f:
-                ri, rr = work[i], work[r]
-                work[i] = [(lead * a - f * b) % p for a, b in zip(ri, rr)]
-        r += 1
-        if r == len(work):
-            break
-    return r
-
 
 def select_independent_columns(field: PrimeField,
                                vectors: Sequence[Sequence[int]]) -> list[int]:
@@ -226,22 +124,15 @@ def select_independent_columns(field: PrimeField,
 
 def kronecker_column(field: PrimeField,
                      vectors: Sequence[Sequence[int]]) -> list[int]:
-    """Kronecker product of column vectors, first vector slowest-varying.
-
-    The product of the dimensions is guarded by KRONECKER_LIMIT.
+    """Kronecker product of column vectors, first vector slowest-varying,
+    reduced mod p. Its length is the product of the vectors' lengths.
     """
     if not vectors:
         raise InputError("kronecker_column requires at least one vector")
-    total = 1
-    for v in vectors:
-        total *= len(v)
-        if total > KRONECKER_LIMIT:
-            raise RefusedError(f"kronecker dimension {total}+ exceeds "
-                               f"limit {KRONECKER_LIMIT}")
     p = field.p
     acc = [x % p for x in vectors[0]]
     for v in vectors[1:]:
-        acc = [a * (b % p) % p for a in acc for b in v]
+        acc = [a * b % p for a in acc for b in v]
     return acc
 
 
@@ -267,17 +158,13 @@ def random_nonzeros(rng: random.Random, field: PrimeField,
     return out
 
 
-def vandermonde(field: PrimeField, rank_rows: int, points: Sequence[int]) -> PrimeFieldMatrix:
-    """rank_rows x len(points) Vandermonde matrix; points must stay distinct
-    mod p, so p must exceed every point.
+def vandermonde(field: PrimeField, rank_rows: int,
+                points: Sequence[int]) -> list[list[int]]:
+    """Columns of the rank_rows x len(points) Vandermonde matrix, one per
+    point: 1, x, x^2, ... mod p. Points must stay distinct mod p, so p must
+    exceed every point.
     """
     if any(x >= field.p for x in points):
         raise FieldTooSmallError(
             f"modulus {field.p} too small for {len(points)} evaluation points")
-    m = PrimeFieldMatrix(field, rank_rows, len(points))
-    for j, x in enumerate(points):
-        acc = 1
-        for i in range(rank_rows):
-            m.data[i * len(points) + j] = acc
-            acc = acc * x % field.p
-    return m
+    return [[pow(x, i, field.p) for i in range(rank_rows)] for x in points]

@@ -278,6 +278,25 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     return 0
 
 
+# The commands whose target picks which options they read: per target, the
+# options of the command that only some of its targets read and this one
+# does. Each target refuses the others.
+TARGET_OPTIONS = {
+    "oracle": {"mwc": ("--partition",), "mc": ("--requests",),
+               "essential": (), "cutcover": ()},
+    "kernelize": {"mwc": (), "multicut": ("--requests", "--requests-out")},
+}
+
+
+def _refuse_unread_options(args: argparse.Namespace) -> None:
+    targets = TARGET_OPTIONS.get(args.command, {})
+    for option in sorted({o for reads in targets.values() for o in reads}):
+        if (option not in targets[args.what]
+                and getattr(args, option[2:].replace("-", "_")) is not None):
+            raise InputError(
+                f"{args.command} {args.what} does not read {option}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on the first cli() call and reused after it.
@@ -310,8 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "kernelize": ("graph", *reducing, "--budget", "--requests",
                       "--requests-out", "--out"),
     }
-    targets = {"oracle": ("mwc", "mc", "essential", "cutcover"),
-               "kernelize": ("mwc", "multicut")}
 
     # allow_abbrev=False: an option is accepted under its full name only
     top = argparse.ArgumentParser(
@@ -320,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for command, names in commands.items():
         p = sub.add_parser(command, allow_abbrev=False)
-        if command in targets:
-            p.add_argument("what", choices=targets[command])
+        if command in TARGET_OPTIONS:
+            p.add_argument("what", choices=tuple(TARGET_OPTIONS[command]))
         for name in names:
             p.add_argument(name, **spec[name])
     return top
@@ -331,6 +348,7 @@ def cli(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _refuse_unread_options(args)
         # looked up per call, so a replaced _cmd_* function takes effect
         return globals()[f"_cmd_{args.command}"](args)
     except InputError as exc:

@@ -1,20 +1,21 @@
 """Dense-case edge marking.
 
-Stacks a layered matroid over the network (gammoid copies, a truncated
-graphic layer, a uniform layer), forms one candidate tuple per edge, and
-keeps the representative-set survivors. Unmarked edges are the contraction
-candidates downstream.
+Stacks matroid layers over the network (gammoid copies, a truncated graphic
+layer, a uniform layer), reads each edge's columns from them once, and
+keeps the representative-set survivors among the edges whose columns are
+all nonzero. Unmarked edges are the contraction candidates downstream.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field, replace
+from math import prod
 
 from .errors import InputError, InternalError, MarkingRefusedError
 from .ffield import PrimeField
 from .matroids import (
-    LayeredMatroid,
+    MatroidRep,
     build_edge_cut_gammoid_digraph,
     gammoid_rep,
     graphic_rep,
@@ -84,9 +85,10 @@ class MarkResult:
 
 
 def build_marking_matroid(net: TerminalNetwork,
-                          params: MarkParams) -> LayeredMatroid:
-    """(i0-1) independently randomized gammoid layers, one graphic layer
-    truncated to the resolved rank cap, one uniform layer of rank k.
+                          params: MarkParams) -> tuple[MatroidRep, ...]:
+    """The layers, in order: (i0-1) independently randomized gammoid
+    layers, one graphic layer truncated to the resolved rank cap, one
+    uniform layer of rank k.
     """
     k = terminal_capacity(net)
     params = params.resolve(k)
@@ -99,47 +101,43 @@ def build_marking_matroid(net: TerminalNetwork,
     ]
     layers.append(graphic_rep(params.field, rng, net, params.graphic_rank_cap))
     layers.append(uniform_rep(params.field, net.edge_ids(), k))
-    return LayeredMatroid(tuple(layers))
+    return tuple(layers)
 
 
 def mark(net: TerminalNetwork, params: MarkParams) -> MarkResult:
     """Marked edge set via product-form representative selection.
 
-    Candidate tuples scan edges in id order; an edge whose tuple is
-    dependent (a zero column in some layer) is marked unconditionally,
-    since only dropping edges can lose information. Raises
-    MarkingRefusedError when the tensor dimension exceeds TENSOR_LIMIT.
+    Edge e reads the column of ("zp", e) in each gammoid layer and of e in
+    the graphic and uniform layers, scanning edges in id order. An edge
+    with a zero column in some layer is marked unconditionally, since only
+    dropping edges can lose information; the others are the candidates.
+    Raises MarkingRefusedError when the tensor dimension, the product of
+    the layers' row counts, exceeds TENSOR_LIMIT, and InternalError when
+    more candidates survive than the product of the layer ranks allows
+    (forced edges come on top of that bound).
     """
-    k = terminal_capacity(net)
-    params = params.resolve(k)
-    layered = build_marking_matroid(net, params)
-    dim = 1
-    for layer in layered.layers:
-        dim *= layer.matrix.rows
+    layers = build_marking_matroid(net, params)
+    dim = prod(layer.rows for layer in layers)
     if dim > TENSOR_LIMIT:
         raise MarkingRefusedError(
             f"tensor dimension {dim} exceeds limit {TENSOR_LIMIT}; "
             f"lower c or i0")
-    if len(layered.layers) != params.i0 + 1:
-        raise InternalError(
-            f"{len(layered.layers)} layers built for i0 = {params.i0}")
     forced: list[int] = []
-    tuples: list[tuple] = []
+    candidates: list[int] = []
+    family: list[list[list[int]]] = []
     for e in net.edge_ids():
-        t = tuple(("zp", e) for _ in range(params.i0 - 1)) + (e, e)
-        cols = layered.tuple_column(t)
-        if any(not any(col) for col in cols):
-            forced.append(e)
+        keys = (("zp", e),) * (params.i0 - 1) + (e, e)
+        cols = [layer.column_of(x) for layer, x in zip(layers, keys)]
+        if all(map(any, cols)):
+            candidates.append(e)
+            family.append(cols)
         else:
-            tuples.append(t)
-    kept = representative_set_product(layered, tuples)
-    survivors = {t[-1] for t in kept}  # the uniform slot carries the id
-    marked = tuple(sorted(survivors.union(forced)))
-    # The rank bounds (the rank product, checked in repset, and the loose
-    # bound here) cover the survivors; forced edges come on top.
-    assert params.c is not None and params.graphic_rank_cap is not None
-    loose = k * params.graphic_rank_cap * k ** (params.i0 - 1)
-    if len(survivors) > loose:
+            forced.append(e)
+    kept = representative_set_product(params.field, family)
+    ranks = tuple(layer.rank for layer in layers)
+    bound = prod(ranks)
+    if len(kept) > bound:
         raise InternalError(
-            f"{len(survivors)} survivors exceed the loose bound {loose}")
-    return MarkResult(marked, layered.ranks, dim, params.seed)
+            f"{len(kept)} survivors exceed the rank product {bound}")
+    marked = tuple(sorted(forced + [candidates[i] for i in kept]))
+    return MarkResult(marked, ranks, dim, params.seed)

@@ -2,11 +2,14 @@
 
 Three families feed the marking stage: gammoids on an edge-adjacency digraph
 (via the dual-of-transversal construction), truncated graphic matroids, and
-uniform matroids. A layered matroid stacks several representations over the
-same ground set so that one column tuple can be read off per element. The
-checks these constructions are tested against (gammoid independence by
-vertex-disjoint paths, the direct sum as one block matrix) are reference
-code in the test suite.
+uniform matroids. Each representation is a list of columns, one per ground
+element, since the marker reads exactly one column per layer for each edge
+and never a row. The truncated graphic layer checks its rank with the greedy
+basis the selection runs (ffield.select_independent_columns), the engine's
+one elimination routine. The checks these constructions are tested against
+(independence as the rank of a column set, gammoid independence by
+vertex-disjoint paths, the direct sum of layers) are reference code in the
+test suite.
 
 The gammoid is the costly layer. Its transversal pattern is block
 lower-triangular: a node without out-arcs (every sink-only copy ("zp", e)
@@ -50,9 +53,8 @@ from typing import Any, Hashable, Mapping, Sequence
 from .errors import InputError, RefusedError
 from .ffield import (
     PrimeField,
-    PrimeFieldMatrix,
     random_nonzeros,
-    rank,
+    select_independent_columns,
     vandermonde,
 )
 from .netgraph import TerminalNetwork, components
@@ -100,96 +102,58 @@ class Digraph:
 
 @dataclass(frozen=True)
 class MatroidRep:
-    """Columns of `matrix` represent `ground` in order; `rank` is the rank
-    the construction is entitled to claim, which bounds (and for the exact
-    constructions equals) the matrix rank.
+    """`columns[j]` represents `ground[j]`: `rows` reduced entries each.
+    `rank` is the rank the construction is entitled to claim, which bounds
+    (and for the exact constructions equals) the rank of the columns.
     """
 
-    matrix: PrimeFieldMatrix
+    rows: int
+    columns: Sequence[list[int]]
     ground: tuple[Any, ...]
     rank: int
     _index: dict[Any, int] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.ground) != self.matrix.cols:
+        if len(self.ground) != len(self.columns):
             raise InputError("ground size does not match column count")
+        if any(len(col) != self.rows for col in self.columns):
+            raise InputError("column length does not match the row count")
         index = {x: j for j, x in enumerate(self.ground)}
         if len(index) != len(self.ground):
             raise InputError("duplicate ground elements")
-        if self.rank < 0 or self.rank > self.matrix.rows:
+        if self.rank < 0 or self.rank > self.rows:
             raise InputError("declared rank out of range")
         object.__setattr__(self, "_index", index)
 
-    def column_index(self, x: Any) -> int:
+    def column_of(self, x: Any) -> list[int]:
+        """The stored column of ground element x."""
         try:
-            return self._index[x]
+            return self.columns[self._index[x]]
         except (KeyError, TypeError):
             raise InputError(f"{x!r} is not a ground element") from None
 
-    def column_of(self, x: Any) -> list[int]:
-        return self.matrix.column(self.column_index(x))
 
-    def is_independent(self, subset: Sequence[Any]) -> bool:
-        idxs = [self.column_index(x) for x in subset]
-        if len(set(idxs)) != len(idxs):
-            return False
-        sub = self.matrix.submatrix_columns(idxs)
-        return rank(sub) == len(idxs)
-
-
-@dataclass(frozen=True)
-class LayeredMatroid:
-    """Direct sum of representations on disjoint copies of their grounds.
-
-    An element of the sum is a (layer, ground element) choice; downstream
-    code reads one column per layer and tensors them, so layer order is part
-    of the contract.
-    """
-
-    layers: tuple[MatroidRep, ...]
-
-    def __post_init__(self) -> None:
-        if not self.layers:
-            raise InputError("layered matroid needs at least one layer")
-        p0 = self.layers[0].matrix.field.p
-        if any(layer.matrix.field.p != p0 for layer in self.layers[1:]):
-            raise InputError("layers must share a field")
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(layer.rank for layer in self.layers)
-
-    def rank_product(self) -> int:
-        out = 1
-        for r in self.ranks:
-            out *= r
-        return out
-
-    def tuple_column(self, t: Sequence[Any]) -> list[list[int]]:
-        """Columns of a one-element-per-layer tuple, in layer order."""
-        if len(t) != len(self.layers):
-            raise InputError("tuple length must equal the layer count")
-        return [layer.column_of(x) for layer, x in zip(self.layers, t)]
-
-
-def signed_incidence(field: PrimeField, net: TerminalNetwork) -> PrimeFieldMatrix:
-    """|V| x |E| incidence, +1 at the lower-numbered endpoint. Rows follow
-    sorted vertex order, columns follow edge id order.
+def signed_incidence(field: PrimeField,
+                     net: TerminalNetwork) -> list[list[int]]:
+    """Columns of the |V| x |E| incidence matrix in edge id order, +1 at
+    the lower-numbered endpoint and -1 at the other; rows follow sorted
+    vertex order.
     """
     vidx = {v: i for i, v in enumerate(net.vertices)}
-    m = PrimeFieldMatrix(field, net.n, net.m)
-    for j, (_, u, v) in enumerate(net.edges):
-        lo, hi = (u, v) if u < v else (v, u)
-        m.data[vidx[lo] * net.m + j] = 1
-        m.data[vidx[hi] * net.m + j] = field.p - 1
-    return m
+    cols = []
+    for _, u, v in net.edges:
+        col = [0] * net.n
+        col[vidx[min(u, v)]] = 1
+        col[vidx[max(u, v)]] = field.p - 1
+        cols.append(col)
+    return cols
 
 
 def uniform_rep(field: PrimeField, ground: Sequence[Any], r: int) -> MatroidRep:
-    """U(ground, r) via a Vandermonde matrix on points 1..|ground|."""
+    """U(ground, r) via Vandermonde columns on points 1..|ground|."""
     r = min(r, len(ground))
     pts = list(range(1, len(ground) + 1))
-    return MatroidRep(vandermonde(field, r, pts), tuple(ground), r)
+    return MatroidRep(r, vandermonde(field, r, pts), tuple(ground), r)
 
 
 def graphic_rep(field: PrimeField, rng: random.Random, net: TerminalNetwork,
@@ -197,11 +161,12 @@ def graphic_rep(field: PrimeField, rng: random.Random, net: TerminalNetwork,
     """Graphic matroid of the network truncated to rank at most max_rank.
 
     Truncation is a random r x |V| projection of the signed incidence
-    columns, drawn row-major; the result's matrix rank is checked against
-    the declared rank and redrawn on the (vanishingly unlikely) deficiency.
-    An incidence column is +1 at the lower endpoint and -1 at the higher,
-    so each projected entry is read off directly as proj[i][lo] -
-    proj[i][hi] mod p: the same matrix as the product, after the same draws.
+    columns, drawn row-major; the projected columns are redrawn on the
+    (vanishingly unlikely) event that they span less than r dimensions,
+    which the greedy basis decides. An incidence column is +1 at the lower
+    endpoint and -1 at the higher, so each projected entry is read off
+    directly as proj[i][lo] - proj[i][hi] mod p: the same columns as the
+    product, after the same draws.
     """
     if max_rank < 0:
         raise InputError("max_rank must be nonnegative")
@@ -209,17 +174,17 @@ def graphic_rep(field: PrimeField, rng: random.Random, net: TerminalNetwork,
     r = min(max_rank, full_rank)
     ground = net.edge_ids()
     if r == full_rank:
-        return MatroidRep(signed_incidence(field, net), ground, r)
+        return MatroidRep(net.n, signed_incidence(field, net), ground, r)
+    p = field.p
     vidx = {v: i for i, v in enumerate(net.vertices)}
     ends = [(vidx[u], vidx[v]) if u < v else (vidx[v], vidx[u])
             for _, u, v in net.edges]
     for _ in range(retries):
-        proj = [[rng.randrange(field.p) for _ in range(net.n)]
-                for _ in range(r)]
-        out = PrimeFieldMatrix(field, r, net.m, [
-            prow[lo] - prow[hi] for prow in proj for lo, hi in ends])
-        if rank(out) == r:
-            return MatroidRep(out, ground, r)
+        proj = [[rng.randrange(p) for _ in range(net.n)] for _ in range(r)]
+        cols = [[(prow[lo] - prow[hi]) % p for prow in proj]
+                for lo, hi in ends]
+        if len(select_independent_columns(field, cols)) == r:
+            return MatroidRep(r, cols, ground, r)
     raise RefusedError("graphic truncation kept losing rank; giving up")
 
 
@@ -357,9 +322,7 @@ def gammoid_rep(field: PrimeField, rng: random.Random, dg: Digraph,
             neg_a[y] = [-a * inv % p for a in _unpack(acc, size, s)]
         cols = [[int(i == src_pos[x]) for i in range(s)] if x in src_pos
                 else neg_a[x] for x in ground]
-        data = [col[i] for i in range(s) for col in cols]
-        return MatroidRep(PrimeFieldMatrix(field, s, len(cols), data),
-                          tuple(ground), s)
+        return MatroidRep(s, cols, tuple(ground), s)
     raise RefusedError("transversal pattern kept losing rank; giving up")
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError, RefusedError
@@ -513,11 +514,16 @@ def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
 
 def cut_covering_set(net: TerminalNetwork) -> tuple[int, ...]:
     """Union over terminal bipartitions of the closest minimum cut, taking
-    as A-side the block holding the smallest terminal (the first block).
+    as A-side the block holding the smallest terminal.
+
+    The 2^(t-1) - 1 bipartitions are enumerated directly: the A-side is the
+    least terminal plus any subset of the others that leaves B nonempty.
     """
     _check_terminal_count(net)
+    terms = sorted(net.terminals)
     out: set[int] = set()
-    for part in all_partitions(net.terminals):
-        if part.size == 2:
-            out.update(closest_min_cut(net, *part.blocks))
+    for size in range(len(terms) - 1):
+        for extra in combinations(terms[1:], size):
+            b_side = [t for t in terms[1:] if t not in extra]
+            out.update(closest_min_cut(net, (terms[0], *extra), b_side))
     return tuple(sorted(out))

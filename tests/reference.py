@@ -1,16 +1,19 @@
 """Reference code that only the tests and demos call.
 
 None of this runs in the CLI. Each definition is either an independent
-route to a result the engine computes another way (gammoid independence by
-disjoint paths, all minimum witnesses by subset search, the least
-separating edge sets by subset search with no oracle code, the general-form
-representative set, the edge-cut digraph from its generated arc set, each
-network edit renamed or filtered and then re-validated by build) or a
-construction a gate measures the engine against (the isolating-cut
-2-approximation, the covering condition), plus the arc-list constructor
-the hand-built test digraphs use. The file name
-keeps pytest from collecting it; tests import it as `reference`, which
-works because pytest puts this directory on sys.path.
+route to a result the engine computes another way (the rank of a vector
+set by its own elimination, independence in a layer as the rank of its
+columns, gammoid independence by disjoint paths, all minimum witnesses by
+subset search, the least separating edge sets by subset search with no
+oracle code, the general-form representative set, the edge-cut digraph
+from its generated arc set, each network edit renamed or filtered and then
+re-validated by build) or a construction a gate measures the engine
+against (the direct sum of layers, the isolating-cut 2-approximation, the
+covering condition), plus the helpers the tests build inputs with: random
+matrices as column lists, the product-form selection on tuples of ground
+elements, and the arc-list constructor of the hand-built test digraphs.
+The file name keeps pytest from collecting it; tests import it as
+`reference`, which works because pytest puts this directory on sys.path.
 """
 
 from __future__ import annotations
@@ -26,11 +29,7 @@ from cutmimic.errors import (
     RefusedError,
     TerminalContractionError,
 )
-from cutmimic.ffield import (
-    PrimeField,
-    PrimeFieldMatrix,
-    select_independent_columns,
-)
+from cutmimic.ffield import PrimeField, select_independent_columns
 from cutmimic.matroids import (
     Digraph,
     GammoidInstance,
@@ -56,46 +55,88 @@ from cutmimic.oracles import (
     min_multiway_cut,
 )
 from cutmimic.reducer import ReduceParams, ReductionTrace, mimicking_network
+from cutmimic.repset import representative_set_product
 
 
-# -- fields and matrices -----------------------------------------------------
+# -- fields and vectors ------------------------------------------------------
+
+def rank(field: PrimeField, vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of the span of equal-length vectors (a matrix's rows, or its
+    columns: the two ranks agree), by fraction-free elimination with
+    partial pivoting by first nonzero.
+    """
+    p = field.p
+    work = [[x % p for x in v] for v in vectors]
+    width = len(work[0]) if work else 0
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        lead = work[r][col]
+        for i in range(r + 1, len(work)):
+            f = work[i][col]
+            if f:
+                ri, rr = work[i], work[r]
+                work[i] = [(lead * a - f * b) % p for a, b in zip(ri, rr)]
+        r += 1
+        if r == len(work):
+            break
+    return r
+
 
 def random_matrix(rng: random.Random, field: PrimeField,
-                  rows: int, cols: int) -> PrimeFieldMatrix:
-    """Entries uniform over [0, p)."""
+                  rows: int, cols: int) -> list[list[int]]:
+    """The columns of a rows x cols matrix with entries uniform over
+    [0, p), drawn row-major."""
     data = [rng.randrange(field.p) for _ in range(rows * cols)]
-    return PrimeFieldMatrix(field, rows, cols, data)
+    return [data[j::cols] for j in range(cols)]
 
 
-def block_matrix(field: PrimeField,
-                 blocks: Sequence[PrimeFieldMatrix]) -> PrimeFieldMatrix:
-    """Block-diagonal stack."""
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = PrimeFieldMatrix(field, rows, cols)
-    r0 = c0 = 0
-    for b in blocks:
-        if b.field.p != field.p:
-            raise InputError("mixed moduli in block matrix")
-        for i in range(b.rows):
-            base = (r0 + i) * cols + c0
-            out.data[base:base + b.cols] = b.row(i)
-        r0 += b.rows
-        c0 += b.cols
-    return out
+def transpose(vectors: Sequence[Sequence[int]], length: int
+              ) -> list[list[int]]:
+    """Rows of the matrix with the given columns, or the reverse; `length`
+    is the vectors' common length, which an empty list does not show."""
+    return [[v[i] for v in vectors] for i in range(length)]
 
 
 # -- matroids ----------------------------------------------------------------
 
-def disjoint_union(field: PrimeField, reps: Sequence[MatroidRep]) -> MatroidRep:
-    """Direct sum as a single representation; ground elements are tagged
-    with their layer index to keep copies distinct.
+def is_independent(field: PrimeField, rep: MatroidRep,
+                   subset: Sequence[Any]) -> bool:
+    """True when the subset repeats no element and its columns have full
+    rank."""
+    if len(set(subset)) != len(subset):
+        return False
+    return rank(field, [rep.column_of(x) for x in subset]) == len(subset)
+
+
+def disjoint_union(reps: Sequence[MatroidRep]) -> MatroidRep:
+    """Direct sum as a single representation, the block-diagonal stack of
+    the layers; ground elements are tagged with their layer index to keep
+    copies distinct.
     """
     if not reps:
         raise InputError("disjoint union needs at least one layer")
-    mat = block_matrix(field, [r.matrix for r in reps])
+    rows = sum(r.rows for r in reps)
+    columns: list[list[int]] = []
+    above = 0
+    for rep in reps:
+        below = rows - above - rep.rows
+        columns += [[0] * above + col + [0] * below for col in rep.columns]
+        above += rep.rows
     ground = tuple((i, x) for i, r in enumerate(reps) for x in r.ground)
-    return MatroidRep(mat, ground, sum(r.rank for r in reps))
+    return MatroidRep(rows, columns, ground, sum(r.rank for r in reps))
+
+
+def select_tuples(field: PrimeField, layers: Sequence[MatroidRep],
+                  family: Sequence[Sequence[Any]]) -> list[Sequence[Any]]:
+    """representative_set_product on tuples of ground elements, one per
+    layer: the kept tuples in input order."""
+    cols = [[layer.column_of(x) for layer, x in zip(layers, t)]
+            for t in family]
+    return [family[i] for i in representative_set_product(field, cols)]
 
 
 def digraph_from_arcs(nodes: Iterable[Node],
@@ -206,10 +247,12 @@ def is_independent_by_flow(dg: Digraph, sources: Sequence[Node],
 
 # -- representative sets -----------------------------------------------------
 
-def representative_set_general(matrix: PrimeFieldMatrix,
+def representative_set_general(field: PrimeField,
+                               columns: Sequence[Sequence[int]],
                                sets: Sequence[Sequence[Any]], s: int,
                                r: int | None = None) -> list[Sequence[Any]]:
-    """General-form selection for families of s-subsets, s <= 3.
+    """General-form selection for families of s-subsets, s <= 3, of the
+    column indices of a matrix given by its columns.
 
     Each candidate is mapped to the vector of its s x s minors, taken over
     row s-subsets of a row basis in lexicographic order, and a greedy
@@ -217,8 +260,8 @@ def representative_set_general(matrix: PrimeFieldMatrix,
     row basis is the greedy basis of the matrix rows; any row basis serves,
     because changing it multiplies every minor vector by the same invertible
     matrix (the s-th compound of the change of basis). A survivor count
-    above C(r+s, s), where r defaults to rank(matrix) - s, raises
-    InternalError. Returns the kept sets in input order.
+    above C(r+s, s), where r defaults to rank - s, raises InternalError.
+    Returns the kept sets in input order.
     """
     if s < 1:
         raise InputError("general form needs s >= 1")
@@ -228,8 +271,7 @@ def representative_set_general(matrix: PrimeFieldMatrix,
         raise InputError("general-form tuples must not repeat elements")
     if s > 3:
         raise RefusedError(f"minor computation limited to s <= 3, got s={s}")
-    field = matrix.field
-    all_rows = [matrix.row(i) for i in range(matrix.rows)]
+    all_rows = transpose(columns, len(columns[0]) if columns else 0)
     basis = [all_rows[i] for i in select_independent_columns(field, all_rows)]
     rho = len(basis)
     if r is None:
@@ -238,11 +280,11 @@ def representative_set_general(matrix: PrimeFieldMatrix,
         raise InputError(f"rank {rho} exceeds r+s = {r + s}")
     if not sets:
         return []
-    cols = [[row[j] for row in basis] for j in range(matrix.cols)]
+    cols = transpose(basis, len(columns))
     vectors: list[list[int]] = []
     row_sets = list(combinations(range(rho), s))
     for t in sets:
-        tcols = [cols[_locate_column(matrix, x)] for x in t]
+        tcols = [cols[_locate_column(len(columns), x)] for x in t]
         vec = [_minor(field, tcols, rows) for rows in row_sets]
         if not any(vec):
             raise InputError(f"dependent candidate set {t!r}")
@@ -255,8 +297,8 @@ def representative_set_general(matrix: PrimeFieldMatrix,
     return [sets[i] for i in keep]
 
 
-def _locate_column(matrix: PrimeFieldMatrix, x: Any) -> int:
-    if not isinstance(x, int) or not 0 <= x < matrix.cols:
+def _locate_column(count: int, x: Any) -> int:
+    if not isinstance(x, int) or not 0 <= x < count:
         raise InputError(
             f"general-mode elements are column indices; got {x!r}")
     return x
@@ -279,11 +321,12 @@ def _minor(field: PrimeField, cols: list[list[int]],
             + c * (d * h - e * g)) % p
 
 
-def extends(rep: MatroidRep, base: Sequence[Any], extra: Sequence[Any]) -> bool:
+def extends(field: PrimeField, rep: MatroidRep, base: Sequence[Any],
+            extra: Sequence[Any]) -> bool:
     """True when base and extra are disjoint and their union is independent."""
     if set(base) & set(extra):
         return False
-    return rep.is_independent(list(base) + list(extra))
+    return is_independent(field, rep, list(base) + list(extra))
 
 
 # -- networks and cuts -------------------------------------------------------

@@ -12,10 +12,10 @@ import itertools
 import random
 import time
 from dataclasses import replace
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
-from cutmimic.ffield import MERSENNE61, PrimeField, rank, vandermonde
+from cutmimic.ffield import MERSENNE61, PrimeField, vandermonde
 from cutmimic.frontend import (
     MulticutInstance,
     MultiwayCutInstance,
@@ -24,11 +24,7 @@ from cutmimic.frontend import (
     kernelize_multiway_cut,
 )
 from cutmimic.marker import MarkParams, mark
-from cutmimic.matroids import (
-    LayeredMatroid,
-    build_edge_cut_gammoid_digraph,
-    uniform_rep,
-)
+from cutmimic.matroids import build_edge_cut_gammoid_digraph, uniform_rep
 from cutmimic.netgraph import (
     CutRequests,
     Partition,
@@ -46,7 +42,6 @@ from cutmimic.oracles import (
     min_multiway_cut,
 )
 from cutmimic.reducer import ReduceParams, mimicking_network
-from cutmimic.repset import representative_set_product
 from cutmimic.tester import exact_tester
 
 from conftest import random_connected_network
@@ -57,9 +52,12 @@ from reference import (
     edge_cut_gammoid,
     enumerate_minimum_multiway_cuts,
     extends,
+    is_independent,
     is_independent_by_flow,
     isolating_cut_values,
+    rank,
     representative_set_general,
+    select_tuples,
     two_approx_multicut_cover,
 )
 
@@ -151,10 +149,10 @@ def test_marked_set_contains_essential_edges_on_dense_corpus():
 
 
 def layered_extends(layers, X_per_layer, t):
-    union = disjoint_union(F, list(layers))
+    union = disjoint_union(list(layers))
     base = [(i, x) for i, xs in enumerate(X_per_layer) for x in xs]
     extra = [(i, x) for i, x in enumerate(t)]
-    return extends(union, base, extra)
+    return extends(F, union, base, extra)
 
 
 def test_representative_set_bounds_and_extension():
@@ -180,17 +178,16 @@ def test_representative_set_bounds_and_extension():
         for i, g in enumerate(sizes):
             r = rng.randint(1, g - 1)
             layers.append(uniform_rep(F, [f"L{i}x{j}" for j in range(g)], r))
-        lm = LayeredMatroid(tuple(layers))
         tuples = list(itertools.product(*[rep.ground for rep in layers]))
         rng.shuffle(tuples)
         family = tuples[:40]
-        kept = representative_set_product(lm, family)
-        assert len(kept) <= lm.rank_product(), seed
+        kept = select_tuples(F, layers, family)
+        assert len(kept) <= prod(rep.rank for rep in layers), seed
         assert set(kept) <= set(family)
         per_layer = [
             [X for size in range(rep.rank + 1)
              for X in itertools.combinations(rep.ground, size)
-             if rep.is_independent(X)]
+             if is_independent(F, rep, X)]
             for rep in layers]
         for X in itertools.product(*per_layer):
             if not any(layered_extends(layers, X, t) for t in family):
@@ -205,13 +202,13 @@ def test_representative_set_bounds_and_extension():
         rng = random.Random(200 + seed)
         rows = rng.choice([2, 3])
         n = rng.randint(rows + 1, 7)
-        mat = vandermonde(F, rows, rng.sample(range(1, 50), n))
-        rk = rank(mat)
+        cols = vandermonde(F, rows, rng.sample(range(1, 50), n))
+        rk = rank(F, cols)
         for s in (1, 2, 3):
             if s > rk:
                 continue
             fam = list(itertools.combinations(range(n), s))
-            kept = representative_set_general(mat, fam, s)
+            kept = representative_set_general(F, cols, fam, s)
             # default r is rank - s, so the bound reads C(rank, s)
             assert len(kept) <= comb(rk, s), (seed, s, len(kept))
             invocations += 1
@@ -239,7 +236,7 @@ def test_gammoid_rank_agrees_with_flow_oracle():
         for size in range(5):
             for cols in itertools.combinations(range(len(ground)), size):
                 sub = [ground[i] for i in cols]
-                by_rank = rank(rep.matrix.submatrix_columns(list(cols))) == size
+                by_rank = rank(F, [rep.columns[i] for i in cols]) == size
                 by_flow = is_independent_by_flow(
                     inst.digraph, inst.sources, sub)
                 assert by_rank == by_flow, (seed, sub)

@@ -374,6 +374,40 @@ def test_cli_refuses_options_the_command_does_not_read(command, option,
     assert not (tmp_path / "t.txt").exists()
 
 
+# Options a command declares but one of its targets never reads: refused
+# with exit 2 before anything runs or is written.
+UNREAD_BY_TARGET = {
+    "oracle mwc": ("--requests",),
+    "oracle mc": ("--partition",),
+    "oracle essential": ("--partition", "--requests"),
+    "oracle cutcover": ("--partition", "--requests"),
+    "kernelize mwc": ("--requests", "--requests-out"),
+}
+
+
+@pytest.mark.parametrize("target, option", [
+    (target, option) for target, options in UNREAD_BY_TARGET.items()
+    for option in options])
+def test_cli_refuses_options_the_target_does_not_read(target, option,
+                                                      tmp_path, capsys):
+    command, what = target.split()
+    # each run is otherwise complete, so only the unread option is at fault
+    needs = {"oracle mwc": ["--partition", "1|11"],
+             "oracle mc": ["--requests", str(FIXTURES / "fix08.req")],
+             "kernelize mwc": ["--budget", "3"]}.get(target, [])
+    graph = str(FIXTURES / ("fix08.net" if what == "mc" else "fix01.net"))
+    value = {"--partition": "1|11",
+             "--requests": str(FIXTURES / "fix08.req"),
+             "--requests-out": str(tmp_path / "r.req")}[option]
+    argv = [command, what, graph, *needs, "--out", str(tmp_path / "o.txt")]
+    assert cli(argv + [option, value]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {command} {what} does not read {option}\n"
+    assert not list(tmp_path.iterdir())
+    assert cli(argv) in (0, 1)  # the same run without it goes through
+    assert (tmp_path / "o.txt").read_text()
+
+
 @pytest.mark.parametrize("argv, full", [
     (["reduce", FIX01, "--thr", "2"], ["reduce", FIX01, "--threshold", "2"]),
     (["verify", FIX01, FIX01, "--s", "5"],

@@ -19,12 +19,7 @@ import random
 import pytest
 
 from cutmimic.errors import RefusedError
-from cutmimic.ffield import (
-    MERSENNE61,
-    PrimeField,
-    PrimeFieldMatrix,
-    random_nonzeros,
-)
+from cutmimic.ffield import MERSENNE61, PrimeField, random_nonzeros
 from cutmimic.matroids import (
     MatroidRep,
     _slot_bits,
@@ -42,59 +37,56 @@ PRIMES = (MERSENNE61, 101, 11, 3)
 
 
 def reference_gammoid_rep(field, rng, dg, sources, ground, retries=8):
+    p = field.p
     src = set(sources)
     non_src = [v for v in dg.nodes if v not in src]
     src_list = [v for v in dg.nodes if v in src]
-    col_order = non_src + src_list
-    col_pos = {v: j for j, v in enumerate(col_order)}
-    n_rows, n_cols = len(non_src), len(col_order)
+    col_pos = {v: j for j, v in enumerate(non_src + src_list)}
+    n_rows, n_cols = len(non_src), len(col_pos)
     for _ in range(retries):
-        pat = PrimeFieldMatrix(field, n_rows, n_cols)
-        for i, u in enumerate(non_src):
-            base = i * n_cols
-            pat.data[base + col_pos[u]] = rng.randrange(1, field.p)
+        pat = [[0] * n_cols for _ in non_src]
+        for row, u in zip(pat, non_src):
+            row[col_pos[u]] = rng.randrange(1, p)
             for w in dg.in_neighbors(u):
-                pat.data[base + col_pos[w]] = rng.randrange(1, field.p)
-        reduced = reference_row_reduce(pat)
+                row[col_pos[w]] = rng.randrange(1, p)
+        reduced = reference_row_reduce(p, pat)
         if reduced is None:
             continue
-        dual = PrimeFieldMatrix(field, len(src_list), n_cols)
-        for i in range(len(src_list)):
-            base = i * n_cols
-            for j in range(n_rows):
-                dual.data[base + j] = (-reduced.entry(j, n_rows + i)) % field.p
-            dual.data[base + n_rows + i] = 1
-        idxs = [col_pos[x] for x in ground]
-        return MatroidRep(dual.submatrix_columns(idxs), tuple(ground),
-                          len(src_list))
+        # the dual [-A^T | I]: column j < n_rows is minus row j's part in
+        # the source columns, then one unit column per source
+        dual = [[-x % p for x in row[n_rows:]] for row in reduced]
+        dual += [[int(i == j) for i in range(len(src_list))]
+                 for j in range(len(src_list))]
+        return MatroidRep(len(src_list), [dual[col_pos[x]] for x in ground],
+                          tuple(ground), len(src_list))
     raise RefusedError("transversal pattern kept losing rank; giving up")
 
 
-def reference_row_reduce(m):
-    p = m.field.p
-    work = [m.row(i) for i in range(m.rows)]
-    for r in range(m.rows):
-        piv = next((i for i in range(r, m.rows) if work[i][r]), None)
+def reference_row_reduce(p, rows):
+    """Reduced row echelon form of rows whose leading square block is
+    invertible; None if it is singular."""
+    work = [list(row) for row in rows]
+    for r in range(len(work)):
+        piv = next((i for i in range(r, len(work)) if work[i][r]), None)
         if piv is None:
             return None
         work[r], work[piv] = work[piv], work[r]
         inv = pow(work[r][r], -1, p)
         work[r] = [x * inv % p for x in work[r]]
-        for i in range(m.rows):
+        for i in range(len(work)):
             if i != r and work[i][r]:
                 f = work[i][r]
                 work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
-    return PrimeFieldMatrix(m.field, m.rows, m.cols,
-                            [x for row in work for x in row])
+    return work
 
 
 def outcome(fn, p, seed, dg, sources, ground):
-    """(matrix data, ground, rank) or the refusal message, plus the next
-    draw of the rng the construction consumed."""
+    """(columns, row count, ground, rank) or the refusal message, plus the
+    next draw of the rng the construction consumed."""
     rng = random.Random(seed)
     try:
         rep = fn(PrimeField(p), rng, dg, sources, ground)
-        result = (rep.matrix.data, rep.matrix.rows, rep.ground, rep.rank)
+        result = (rep.columns, rep.rows, rep.ground, rep.rank)
     except RefusedError as exc:
         result = ("refused", str(exc))
     return result, rng.random()

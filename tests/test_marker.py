@@ -1,9 +1,10 @@
-"""Marking stage: parameter resolution, layered matroid shape, marked-set
+"""Marking stage: parameter resolution, the shape of the layers, marked-set
 bounds, the covering condition on deletion components, and soundness of the
 marked set against brute-force essential edges on density-confirmed inputs.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,6 @@ from cutmimic.marker import (
     default_c,
     mark,
 )
-from cutmimic.matroids import LayeredMatroid
 from cutmimic.netgraph import (
     TerminalNetwork,
     all_partitions,
@@ -106,32 +106,33 @@ def test_resolve_idempotent():
     assert p.resolve(3) == p
 
 
-# layered matroid shape
+# shape of the layers
 
 
 def test_layer_shape_on_path():
     net = path_network(9)  # 10 vertices, terminals at the ends, k = 2
-    layered = build_marking_matroid(net, MarkParams(c=6, i0=4))
-    assert len(layered.layers) == 5
-    assert layered.ranks == (2, 2, 2, 4, 2)
+    layers = build_marking_matroid(net, MarkParams(c=6, i0=4))
+    assert len(layers) == 5
+    assert tuple(layer.rank for layer in layers) == (2, 2, 2, 4, 2)
     # three gammoid copies on 2m digraph nodes, then graphic and uniform on E
-    cols = sum(layer.matrix.cols for layer in layered.layers)
+    cols = sum(len(layer.columns) for layer in layers)
     assert cols == 3 * 18 + 9 + 9
-    assert [len(layer.ground) for layer in layered.layers] == [18, 18, 18, 9, 9]
+    assert [len(layer.ground) for layer in layers] == [18, 18, 18, 9, 9]
 
 
 def test_layer_count_tracks_i0():
     net = path_network(5)
     for i0 in (2, 3, 4):
-        layered = build_marking_matroid(net, MarkParams(c=6, i0=i0))
-        assert len(layered.layers) == i0 + 1
+        layers = build_marking_matroid(net, MarkParams(c=6, i0=i0))
+        assert len(layers) == i0 + 1
 
 
 def test_layer_ranks_on_k4():
     # five terminal-incident edges, rank cap k^0 = 1, uniform min(k, m) = 6
-    layered = build_marking_matroid(k4(), MarkParams(c=2, i0=2))
-    assert layered.ranks == (5, 1, 6)
-    assert layered.rank_product() == 30
+    layers = build_marking_matroid(k4(), MarkParams(c=2, i0=2))
+    assert tuple(layer.rank for layer in layers) == (5, 1, 6)
+    # the tensor dimension is the product of the row counts
+    assert [layer.rows for layer in layers] == [5, 1, 6]
 
 
 # marking
@@ -205,8 +206,13 @@ def test_mark_parallel_paths_sound_by_vacuity():
 
 
 def test_mark_bound_breach_raises_internal_error(monkeypatch):
-    # an explicit raise, so the check also holds under python -O
-    monkeypatch.setattr(LayeredMatroid, "rank_product", lambda self: 0)
+    # an explicit raise, so the check also holds under python -O: the
+    # graphic layer declares rank 0, so the rank product is 0
+    def build(net, params):
+        *gammoids, graphic, uniform = build_marking_matroid(net, params)
+        return (*gammoids, replace(graphic, rank=0), uniform)
+
+    monkeypatch.setattr(marker, "build_marking_matroid", build)
     with pytest.raises(InternalError, match="exceed the rank product 0"):
         mark(k4(), MarkParams(c=2, i0=2))
 

@@ -9,10 +9,10 @@ import random
 import pytest
 
 from cutmimic.errors import FieldTooSmallError, InputError
-from cutmimic.ffield import MERSENNE61, PrimeField, PrimeFieldMatrix, rank
+from cutmimic.ffield import MERSENNE61, PrimeField
 from cutmimic.matroids import (
     Digraph,
-    LayeredMatroid,
+    MatroidRep,
     build_edge_cut_gammoid_digraph,
     gammoid_rep,
     graphic_rep,
@@ -23,11 +23,12 @@ from cutmimic.netgraph import TerminalNetwork
 
 from conftest import random_connected_network, triangle
 from reference import (
-    block_matrix,
     disjoint_union,
     edge_cut_gammoid,
+    is_independent,
     is_independent_by_flow,
     max_disjoint_paths,
+    rank,
 )
 
 F = PrimeField(MERSENNE61)
@@ -55,14 +56,14 @@ class TestUniform:
     def test_rank2_of_4(self):
         rep = uniform_rep(F, [1, 2, 3, 4], 2)
         for pair in itertools.combinations([1, 2, 3, 4], 2):
-            assert rep.is_independent(pair)
+            assert is_independent(F, rep, pair)
         for trip in itertools.combinations([1, 2, 3, 4], 3):
-            assert not rep.is_independent(trip)
+            assert not is_independent(F, rep, trip)
 
     def test_rank0(self):
         rep = uniform_rep(F, [1, 2], 0)
-        assert rep.is_independent(())
-        assert not rep.is_independent((1,))
+        assert is_independent(F, rep, ())
+        assert not is_independent(F, rep, (1,))
 
     def test_exhaustive_independence_iff_small(self):
         for m in range(1, 9):
@@ -70,7 +71,7 @@ class TestUniform:
                 rep = uniform_rep(F, list(range(1, m + 1)), r)
                 for size in range(0, m + 1):
                     for X in itertools.combinations(range(1, m + 1), size):
-                        assert rep.is_independent(X) == (size <= r)
+                        assert is_independent(F, rep, X) == (size <= r)
 
     def test_field_too_small(self):
         with pytest.raises(FieldTooSmallError):
@@ -81,8 +82,8 @@ class TestGraphic:
     def test_triangle_cycle_dependent(self):
         rng = random.Random(0)
         rep = graphic_rep(F, rng, triangle(()), max_rank=3)
-        assert not rep.is_independent((1, 2, 3))
-        assert rep.is_independent((1, 2))
+        assert not is_independent(F, rep, (1, 2, 3))
+        assert is_independent(F, rep, (1, 2))
 
     def test_untruncated_matches_acyclicity(self):
         rng = random.Random(1)
@@ -95,7 +96,7 @@ class TestGraphic:
             ids = net.edge_ids()
             for size in range(len(ids) + 1):
                 for X in itertools.combinations(ids, size):
-                    assert rep.is_independent(X) == is_forest(net, X)
+                    assert is_independent(F, rep, X) == is_forest(net, X)
 
     def test_truncated_path(self):
         verts = list(range(6))
@@ -105,17 +106,17 @@ class TestGraphic:
             rep = graphic_rep(F, random.Random(seed), net, max_rank=2)
             assert rep.rank == 2
             for X in itertools.combinations(net.edge_ids(), 3):
-                assert not rep.is_independent(X)
+                assert not is_independent(F, rep, X)
             for X in itertools.combinations(net.edge_ids(), 2):
-                assert rep.is_independent(X)  # any 2 path edges are a forest
+                assert is_independent(F, rep, X)  # any 2 path edges are a forest
 
     def test_signed_incidence_shape(self):
         net = triangle(())
         inc = signed_incidence(F, net)
-        assert inc.rows == 3 and inc.cols == 3
-        for j in range(3):
-            assert sum(inc.column(j)) % F.p == 0
-        assert rank(inc) == net.n - 1
+        assert len(inc) == 3 and all(len(col) == 3 for col in inc)
+        for col in inc:
+            assert sum(col) % F.p == 0
+        assert rank(F, inc) == net.n - 1
 
 
 class TestDigraph:
@@ -189,10 +190,10 @@ class TestGammoidRep:
         net = TerminalNetwork.build([1, 2, 3], [(1, 1, 2), (2, 2, 3)], [1])
         rep = edge_cut_gammoid(F, random.Random(3), net)
         assert rep.rank == 1  # one terminal-incident edge
-        assert rep.is_independent(())
-        assert rep.is_independent((("z", 1),))
-        assert not rep.is_independent((("z", 1), ("z", 2)))
-        assert not rep.is_independent((("z", 1), ("zp", 1)))
+        assert is_independent(F, rep, ())
+        assert is_independent(F, rep, (("z", 1),))
+        assert not is_independent(F, rep, (("z", 1), ("z", 2)))
+        assert not is_independent(F, rep, (("z", 1), ("zp", 1)))
 
     def test_agreement_with_flow_oracle(self):
         """Representation independence must equal linkage by disjoint paths,
@@ -209,53 +210,53 @@ class TestGammoidRep:
                 for X in itertools.combinations(inst.ground, size):
                     expect = is_independent_by_flow(
                         inst.digraph, inst.sources, X)
-                    assert rep.is_independent(X) == expect, (net.edges, X)
+                    assert is_independent(F, rep, X) == expect, (net.edges, X)
 
 
 class TestAssembly:
     def test_block_matrix_identity(self):
-        one = PrimeFieldMatrix.identity(F, 1)
-        assert block_matrix(F, [one, one]) == PrimeFieldMatrix.identity(F, 2)
+        one = uniform_rep(F, [1], 1)
+        assert disjoint_union([one, one]).columns == [[1, 0], [0, 1]]
 
     def test_disjoint_union_empty_refused(self):
         with pytest.raises(InputError):
-            disjoint_union(F, [])
-        with pytest.raises(InputError):
-            LayeredMatroid(())
+            disjoint_union([])
 
     def test_block_rank_adds(self):
         a = uniform_rep(F, [1, 2], 2)
         b = uniform_rep(F, [1, 2, 3], 3)
-        assert rank(block_matrix(F, [a.matrix, b.matrix])) == 5
+        assert rank(F, disjoint_union([a, b]).columns) == 5
 
     def test_union_independence_is_layerwise(self):
         a = uniform_rep(F, ["a1", "a2", "a3"], 1)
         b = uniform_rep(F, ["b1", "b2"], 2)
-        rep = disjoint_union(F, [a, b])
+        rep = disjoint_union([a, b])
         labels = list(rep.ground)
         for size in range(len(labels) + 1):
             for X in itertools.combinations(labels, size):
                 per_layer = [
                     tuple(x for layer, x in X if layer == i)
                     for i in range(2)]
-                expect = a.is_independent(per_layer[0]) and \
-                    b.is_independent(per_layer[1])
-                assert rep.is_independent(X) == expect
-
-    def test_field_mismatch_refused(self):
-        a = uniform_rep(F, [1], 1)
-        b = uniform_rep(PrimeField(7), [1], 1)
-        with pytest.raises(InputError):
-            LayeredMatroid((a, b))
+                expect = is_independent(F, a, per_layer[0]) and \
+                    is_independent(F, b, per_layer[1])
+                assert is_independent(F, rep, X) == expect
 
     def test_layered_accessors(self):
+        # a tuple's columns are read one per layer, by ground element
         a = uniform_rep(F, [1, 2], 2)
         b = uniform_rep(F, [1, 2, 3], 2)
-        lm = LayeredMatroid((a, b))
-        assert lm.ranks == (2, 2)
-        assert lm.rank_product() == 4
-        assert sum(layer.matrix.cols for layer in lm.layers) == 5
-        cols = lm.tuple_column((2, 3))
-        assert cols[0] == a.column_of(2) and cols[1] == b.column_of(3)
+        assert (a.rows, a.rank, b.rows, b.rank) == (2, 2, 2, 2)
+        assert len(a.columns) + len(b.columns) == 5
+        assert [a.column_of(2), b.column_of(3)] == [[1, 2], [1, 3]]
+        with pytest.raises(InputError, match="not a ground element"):
+            a.column_of(3)
+
+    @pytest.mark.parametrize("args", (
+        (2, [[1, 0]], (1, 2), 1),        # ground longer than the columns
+        (2, [[1, 0], [1]], (1, 2), 1),   # a column of the wrong length
+        (2, [[1, 0], [0, 1]], (1, 1), 1),  # a repeated ground element
+        (2, [[1, 0], [0, 1]], (1, 2), 3),  # rank above the row count
+    ))
+    def test_rep_shape_checked(self, args):
         with pytest.raises(InputError):
-            lm.tuple_column((1,))
+            MatroidRep(*args)

@@ -570,6 +570,21 @@ def test_cut_cover_single_terminal_empty():
     assert cut_covering_set(net) == ()
 
 
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_cut_cover_is_union_over_two_block_partitions(t):
+    # the direct bipartition walk against the two-block partitions of the
+    # full partition list, each cut taken with its first block as A-side
+    for seed in range(8):
+        rng = random.Random(100 * t + seed)
+        net = random_connected_network(
+            rng, n_lo=t + 1, n_hi=9, extra_hi=5, n_terminals=t)
+        want = set()
+        for part in all_partitions(net.terminals):
+            if part.size == 2:
+                want.update(closest_min_cut(net, *part.blocks))
+        assert cut_covering_set(net) == tuple(sorted(want)), (t, seed)
+
+
 def test_cut_cover_contains_a_min_cut_per_bipartition():
     # covering definition: for every bipartition some minimum cut lies in Z
     for seed in range(10):

@@ -1,5 +1,5 @@
 """Representative sets: size bounds, extension property by brute force,
-idempotence, and ingest validation.
+idempotence, and the general form's ingest validation.
 """
 
 import itertools
@@ -7,21 +7,27 @@ import itertools
 import pytest
 
 from cutmimic.errors import InputError, RefusedError
-from cutmimic.ffield import MERSENNE61, PrimeField, PrimeFieldMatrix, vandermonde
-from cutmimic.matroids import LayeredMatroid, MatroidRep, uniform_rep
+from cutmimic.ffield import MERSENNE61, PrimeField, vandermonde
+from cutmimic.matroids import MatroidRep, uniform_rep
 from cutmimic.repset import representative_set_product
 
-from reference import disjoint_union, extends, representative_set_general
+from reference import (
+    disjoint_union,
+    extends,
+    is_independent,
+    representative_set_general,
+    select_tuples,
+)
 
 F = PrimeField(MERSENNE61)
 
 
 def layered_extends(layers, X_per_layer, t) -> bool:
     """Does tuple t extend the per-layer independent set X in the direct sum?"""
-    union = disjoint_union(F, list(layers))
+    union = disjoint_union(list(layers))
     base = [(i, x) for i, xs in enumerate(X_per_layer) for x in xs]
     extra = [(i, x) for i, x in enumerate(t)]
-    return extends(union, base, extra)
+    return extends(F, union, base, extra)
 
 
 def assert_extension_property(layers, family, kept):
@@ -31,7 +37,7 @@ def assert_extension_property(layers, family, kept):
     for rep in layers:
         good = [X for size in range(rep.rank + 1)
                 for X in itertools.combinations(rep.ground, size)
-                if rep.is_independent(X)]
+                if is_independent(F, rep, X)]
         per_layer_independent.append(good)
     for X in itertools.product(*per_layer_independent):
         original = [t for t in family if layered_extends(layers, X, t)]
@@ -44,125 +50,105 @@ class TestProductForm:
     def test_bound_two_layers(self):
         a = uniform_rep(F, ["a1", "a2", "a3", "a4"], 2)
         b = uniform_rep(F, ["b1", "b2", "b3", "b4", "b5"], 3)
-        lm = LayeredMatroid((a, b))
         family = [(x, y) for x in a.ground for y in b.ground]
-        kept = representative_set_product(lm, family)
+        kept = select_tuples(F, (a, b), family)
         assert len(kept) <= 6
         assert set(kept) <= set(family)
 
     def test_empty_family(self):
-        lm = LayeredMatroid((uniform_rep(F, [1, 2], 2),))
-        kept = representative_set_product(lm, [])
-        assert len(kept) == 0
+        assert representative_set_product(F, []) == []
 
     def test_single_layer_singletons(self):
         rep = uniform_rep(F, [1, 2, 3, 4], 2)
-        lm = LayeredMatroid((rep,))
         family = [(1,), (2,), (3,), (4,)]
-        kept = representative_set_product(lm, family)
+        kept = select_tuples(F, (rep,), family)
         assert kept == [(1,), (2,)]  # input order, rank-2 space
         assert_extension_property((rep,), family, kept)
+
+    def test_returns_indices_of_column_tuples(self):
+        # the second tuple's tensor is twice the first's
+        family = [([1, 0], [1, 2]), ([2, 0], [1, 2]), ([0, 1], [1, 2])]
+        assert representative_set_product(F, family) == [0, 2]
 
     def test_two_layer_extension_property(self):
         a = uniform_rep(F, ["a1", "a2", "a3"], 2)
         b = uniform_rep(F, ["b1", "b2", "b3"], 2)
-        lm = LayeredMatroid((a, b))
         family = [(x, y) for x in a.ground for y in b.ground]
-        kept = representative_set_product(lm, family)
+        kept = select_tuples(F, (a, b), family)
         assert len(kept) <= 4
         assert_extension_property((a, b), family, kept)
 
     def test_idempotent(self):
         a = uniform_rep(F, [1, 2, 3, 4], 2)
-        lm = LayeredMatroid((a,))
         family = [(1,), (2,), (3,)]
-        kept = representative_set_product(lm, family)
-        again = representative_set_product(lm, kept)
+        kept = select_tuples(F, (a,), family)
+        again = select_tuples(F, (a,), kept)
         assert again == kept
-
-    def test_dependent_tuple_rejected(self):
-        mat = PrimeFieldMatrix.from_rows(F, [[1, 0], [0, 0]])
-        rep = MatroidRep(mat, ("good", "loop"), 1)
-        lm = LayeredMatroid((rep,))
-        with pytest.raises(InputError, match="dependent"):
-            representative_set_product(lm, [("loop",)])
-
-    def test_tuple_length_checked(self):
-        lm = LayeredMatroid((uniform_rep(F, [1, 2], 1),))
-        with pytest.raises(InputError):
-            representative_set_product(lm, [(1, 2)])
-
-    def test_dimension_guard(self):
-        # 32^4 > 10^6: kronecker_column's own guard refuses the tensor
-        a = uniform_rep(F, list(range(1, 34)), 32)
-        lm = LayeredMatroid((a, a, a, a))
-        with pytest.raises(RefusedError, match="exceeds limit"):
-            representative_set_product(lm, [(1, 1, 1, 1)])
 
 
 class TestGeneralForm:
     def test_s1_is_column_basis(self):
-        mat = PrimeFieldMatrix.from_rows(F, [[1, 2, 0], [1, 2, 1]])
-        kept = representative_set_general(mat, [(0,), (1,), (2,)], 1, r=2)
+        cols = [[1, 1], [2, 2], [0, 1]]
+        kept = representative_set_general(F, cols, [(0,), (1,), (2,)], 1, r=2)
         assert kept == [(0,), (2,)]  # column 1 is twice column 0
 
     def test_uniform_pairs_bound(self):
-        mat = vandermonde(F, 2, [1, 2, 3, 4])
+        cols = vandermonde(F, 2, [1, 2, 3, 4])
         fam = list(itertools.combinations(range(4), 2))
-        kept = representative_set_general(mat, fam, 2, r=2)
+        kept = representative_set_general(F, cols, fam, 2, r=2)
         assert 1 <= len(kept) <= 6
         # rank 2 means X = empty is the only extendable base; any single
         # surviving basis of the wedge space witnesses it
         assert kept[0] == (0, 1)
 
     def test_extension_property_rank3(self):
-        mat = vandermonde(F, 3, [1, 2, 3, 4, 5])
-        rep = MatroidRep(mat, tuple(range(5)), 3)
+        cols = vandermonde(F, 3, [1, 2, 3, 4, 5])
+        rep = MatroidRep(3, cols, tuple(range(5)), 3)
         fam = list(itertools.combinations(range(5), 2))
-        kept = representative_set_general(mat, fam, 2)
+        kept = representative_set_general(F, cols, fam, 2)
         assert len(kept) <= 3  # C(rho, s) with rho = 3
         for x in range(5):
             extendable = [t for t in fam
-                          if extends(rep, (x,), t)]
+                          if extends(F, rep, (x,), t)]
             if not extendable:
                 continue
-            assert any(extends(rep, (x,), t) for t in kept), x
+            assert any(extends(F, rep, (x,), t) for t in kept), x
 
     def test_idempotent(self):
-        mat = vandermonde(F, 3, [1, 2, 3, 4, 5])
+        cols = vandermonde(F, 3, [1, 2, 3, 4, 5])
         fam = list(itertools.combinations(range(5), 2))
-        kept = representative_set_general(mat, fam, 2)
-        again = representative_set_general(mat, kept, 2)
+        kept = representative_set_general(F, cols, fam, 2)
+        again = representative_set_general(F, cols, kept, 2)
         assert again == kept
 
     def test_dependent_candidate_rejected(self):
-        mat = PrimeFieldMatrix.from_rows(F, [[1, 2, 3], [2, 4, 5]])
+        cols = [[1, 2], [2, 4], [3, 5]]
         with pytest.raises(InputError, match="dependent"):
             # col 1 = 2 * col 0
-            representative_set_general(mat, [(0, 1)], 2, r=2)
+            representative_set_general(F, cols, [(0, 1)], 2, r=2)
 
     def test_large_s_refused(self):
-        mat = vandermonde(F, 4, [1, 2, 3, 4, 5])
+        cols = vandermonde(F, 4, [1, 2, 3, 4, 5])
         with pytest.raises(RefusedError):
-            representative_set_general(mat, [(0, 1, 2, 3)], 4)
+            representative_set_general(F, cols, [(0, 1, 2, 3)], 4)
 
     def test_rank_precondition(self):
-        mat = vandermonde(F, 3, [1, 2, 3, 4])
+        cols = vandermonde(F, 3, [1, 2, 3, 4])
         with pytest.raises(InputError):
-            representative_set_general(mat, [(0,)], 1, r=1)  # rho 3 > r+s 2
+            representative_set_general(F, cols, [(0,)], 1, r=1)  # rho 3 > 2
 
     def test_family_shape_checked(self):
-        mat = vandermonde(F, 3, [1, 2, 3, 4])
+        cols = vandermonde(F, 3, [1, 2, 3, 4])
         with pytest.raises(InputError, match="s >= 1"):
-            representative_set_general(mat, [()], 0)
+            representative_set_general(F, cols, [()], 0)
         with pytest.raises(InputError, match="size s"):
-            representative_set_general(mat, [(1, 2)], 1)
+            representative_set_general(F, cols, [(1, 2)], 1)
         with pytest.raises(InputError, match="repeat"):
-            representative_set_general(mat, [(1, 1)], 2)
+            representative_set_general(F, cols, [(1, 1)], 2)
 
 
 def test_extends_requires_disjoint():
     rep = uniform_rep(F, [1, 2, 3], 2)
-    assert extends(rep, (1,), (2,))
-    assert not extends(rep, (1,), (1,))
-    assert not extends(rep, (1, 2), (3,))  # exceeds rank
+    assert extends(F, rep, (1,), (2,))
+    assert not extends(F, rep, (1,), (1,))
+    assert not extends(F, rep, (1, 2), (3,))  # exceeds rank

@@ -1,13 +1,14 @@
 """Greedy selection, both representative-set forms and the graphic layer
-against reference copies of their matrix-based constructions.
+against reference copies of their earlier constructions.
 
-The references put the candidate vectors into a matrix, scan its columns
-(optionally in a given order) against a lead-sorted pivot list reduced over
-the full length, take the general form's minors over an echelon row basis,
-and project the graphic layer by a full product with the signed incidence
-matrix. The code under test keeps every one of those results: the same kept
-indices, the same kept sets, the same matrices, the same rng state after
-the draws and the same refusals, at every modulus.
+The references reduce the candidate vectors, scan them (optionally in a
+given order) against a lead-sorted pivot list reduced over the full length,
+take the general form's minors over an echelon row basis, and project the
+graphic layer by a full product with the signed incidence columns, checking
+its rank by the reference elimination. The code under test keeps every one
+of those results: the same kept indices, the same kept sets, the same
+columns, the same rng state after the draws and the same refusals, at every
+modulus.
 """
 
 import random
@@ -20,9 +21,7 @@ from cutmimic.errors import InputError, InternalError, RefusedError
 from cutmimic.ffield import (
     MERSENNE61,
     PrimeField,
-    PrimeFieldMatrix,
     kronecker_column,
-    rank,
     select_independent_columns,
 )
 from cutmimic.marker import MarkParams, build_marking_matroid
@@ -31,7 +30,7 @@ from cutmimic.netgraph import TerminalNetwork, components
 from cutmimic.repset import representative_set_product
 
 from conftest import random_connected_network
-from reference import _minor, representative_set_general
+from reference import _minor, rank, representative_set_general, transpose
 
 PRIMES = (MERSENNE61, 101, 11, 3)
 
@@ -39,13 +38,12 @@ PRIMES = (MERSENNE61, 101, 11, 3)
 # -- references ---------------------------------------------------------------
 
 
-def reference_select(matrix, order=None):
-    p = matrix.field.p
-    idxs = list(range(matrix.cols)) if order is None else list(order)
+def reference_select(p, vectors, order=None):
+    idxs = list(range(len(vectors))) if order is None else list(order)
     pivots = []  # (lead position, vector, inv(lead))
     kept = []
     for j in idxs:
-        v = matrix.column(j)
+        v = [x % p for x in vectors[j]]
         for pos, pvec, pinv in pivots:
             f = v[pos]
             if f:
@@ -60,23 +58,12 @@ def reference_select(matrix, order=None):
     return kept
 
 
-def reference_columns_matrix(field, cols):
-    height = len(cols[0])
-    if any(len(c) != height for c in cols):
-        raise InputError("ragged candidate vectors")
-    m = PrimeFieldMatrix(field, height, len(cols))
-    for j, c in enumerate(cols):
-        for i, x in enumerate(c):
-            m.data[i * len(cols) + j] = x % field.p
-    return m
-
-
-def reference_row_basis(matrix):
-    p = matrix.field.p
-    work = [matrix.row(i) for i in range(matrix.rows)]
+def reference_row_basis(p, rows):
+    work = [[x % p for x in row] for row in rows]
+    width = len(work[0]) if work else 0
     out = []
     r = 0
-    for col in range(matrix.cols):
+    for col in range(width):
         piv = next((i for i in range(r, len(work)) if work[i][col]), None)
         if piv is None:
             continue
@@ -91,14 +78,12 @@ def reference_row_basis(matrix):
         r += 1
         if r == len(work):
             break
-    return PrimeFieldMatrix(matrix.field, len(out), matrix.cols,
-                            [x for row in out for x in row])
+    return out
 
 
-def reference_general(matrix, family, s, r=None):
-    field = matrix.field
-    basis = reference_row_basis(matrix)
-    rho = basis.rows
+def reference_general(field, columns, height, family, s, r=None):
+    basis = reference_row_basis(field.p, transpose(columns, height))
+    rho = len(basis)
     if r is None:
         r = max(rho - s, 0)
     if rho > r + s:
@@ -107,13 +92,14 @@ def reference_general(matrix, family, s, r=None):
         return []
     vectors = []
     row_sets = list(combinations(range(rho), s))
+    basis_cols = transpose(basis, len(columns))
     for t in family:
-        cols = [basis.column(j) for j in t]
+        cols = [basis_cols[j] for j in t]
         vec = [_minor(field, cols, rows) for rows in row_sets]
         if not any(vec):
             raise InputError(f"dependent candidate set {t!r}")
         vectors.append(vec)
-    keep = reference_select(reference_columns_matrix(field, vectors))
+    keep = reference_select(field.p, vectors)
     bound = comb(r + s, s)
     if len(keep) > bound:
         raise InternalError(
@@ -121,42 +107,25 @@ def reference_general(matrix, family, s, r=None):
     return [family[i] for i in keep]
 
 
-def reference_product(matroid, family):
-    layers = matroid.layers
-    field = layers[0].matrix.field
-    tensors = []
-    for t in family:
-        cols = [layer.column_of(x) for layer, x in zip(layers, t)]
-        for x, col in zip(t, cols):
-            if not any(col):
-                raise InputError(f"dependent tuple: {x!r} has a zero column")
-        tensors.append(kronecker_column(field, cols))
-    if not tensors:
-        return []
-    keep = reference_select(reference_columns_matrix(field, tensors))
-    return [family[i] for i in keep]
+def reference_product(field, family):
+    tensors = [kronecker_column(field, cols) for cols in family]
+    return reference_select(field.p, tensors)
 
 
 def reference_graphic_rep(field, rng, net, max_rank, retries=8):
+    p = field.p
     inc = signed_incidence(field, net)
     full_rank = net.n - len(components(net))
     r = min(max_rank, full_rank)
     ground = net.edge_ids()
     if r == full_rank:
-        return MatroidRep(inc, ground, r)
+        return MatroidRep(net.n, inc, ground, r)
     for _ in range(retries):
-        proj = PrimeFieldMatrix(
-            field, r, net.n,
-            [rng.randrange(field.p) for _ in range(r * net.n)])
-        out = PrimeFieldMatrix(field, r, net.m)
-        for i in range(r):
-            prow = proj.row(i)
-            for j in range(net.m):
-                col = inc.column(j)
-                out.data[i * net.m + j] = sum(
-                    a * b for a, b in zip(prow, col)) % field.p
-        if rank(out) == r:
-            return MatroidRep(out, ground, r)
+        proj = [[rng.randrange(p) for _ in range(net.n)] for _ in range(r)]
+        out = [[sum(a * b for a, b in zip(prow, col)) % p for prow in proj]
+               for col in inc]
+        if rank(field, out) == r:
+            return MatroidRep(r, out, ground, r)
     raise RefusedError("graphic truncation kept losing rank; giving up")
 
 
@@ -207,13 +176,12 @@ def test_selection_matches_reference(p):
         if not vectors:
             assert got == []
             continue
-        stacked = reference_columns_matrix(field, vectors)
-        assert got == reference_select(stacked)
+        assert got == reference_select(p, vectors)
         # the old order= scan is the new scan of the permuted list
         perm = list(range(len(vectors)))
         rng.shuffle(perm)
         got = select_independent_columns(field, [vectors[j] for j in perm])
-        assert [perm[i] for i in got] == reference_select(stacked, perm)
+        assert [perm[i] for i in got] == reference_select(p, vectors, perm)
 
 
 def test_selection_edge_inputs():
@@ -240,17 +208,19 @@ def test_general_form_matches_reference(p, s):
             coef = [rng.randrange(p) for _ in span]
             data += [sum(c * b[j] for c, b in zip(coef, span))
                      for j in range(cols)]
-        matrix = PrimeFieldMatrix(field, rows, cols, data)
+        columns = [[x % p for x in data[j::cols]] for j in range(cols)]
         tuples = list(combinations(range(cols), s))
         rng.shuffle(tuples)
         # mostly independent candidates, so that selection has work to do
         if rng.random() < 0.8:
-            tuples = [t for t in tuples if rank(
-                matrix.submatrix_columns(t)) == s]
+            tuples = [t for t in tuples
+                      if rank(field, [columns[j] for j in t]) == s]
         tuples = tuples[:12] + tuples[:rng.randint(0, 2)]  # with repeats
         r = None if rng.random() < 0.8 else rng.randint(0, 3)
-        got = outcome(representative_set_general, matrix, tuples, s, r)
-        assert got == outcome(reference_general, matrix, tuples, s, r)
+        got = outcome(representative_set_general, field, columns, tuples, s,
+                      r)
+        assert got == outcome(reference_general, field, columns, rows,
+                              tuples, s, r)
         kept_some += isinstance(got, list) and len(got) > 0
     assert kept_some > 0
 
@@ -262,22 +232,23 @@ def test_product_form_matches_reference(p):
     for seed in range(6):
         rng = random.Random(seed)
         net = random_connected_network(rng, n_lo=3, n_hi=6, extra_hi=3)
-        layered = build_marking_matroid(
+        layers = build_marking_matroid(
             net, MarkParams(c=2, i0=2, seed=seed, field=field))
-        tuples = []
+        family = []
         for e in net.edge_ids():
-            t = (("zp", e), e, e)
-            if all(any(c) for c in layered.tuple_column(t)):
-                tuples.append(t)
-        assert (representative_set_product(layered, tuples)
-                == reference_product(layered, tuples))
+            cols = [layer.column_of(x)
+                    for layer, x in zip(layers, (("zp", e), e, e))]
+            if all(map(any, cols)):
+                family.append(cols)
+        assert (representative_set_product(field, family)
+                == reference_product(field, family))
 
 
 def graphic_outcome(fn, p, seed, net, max_rank, retries):
     rng = random.Random(seed)
     try:
         rep = fn(PrimeField(p), rng, net, max_rank, retries)
-        result = (rep.matrix.data, rep.matrix.rows, rep.ground, rep.rank)
+        result = (rep.columns, rep.rows, rep.ground, rep.rank)
     except RefusedError as exc:
         result = ("refused", str(exc))
     return result, rng.random()

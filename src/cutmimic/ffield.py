@@ -2,9 +2,11 @@
 
 Entries are plain Python ints reduced into [0, p). The default modulus is the
 Mersenne prime 2^61 - 1; products of two reduced entries exceed 64 bits, so
-vectors are int lists rather than fixed-width arrays. The marking stage
-keeps every matroid layer as one such list per ground element (a column)
-and never forms a matrix.
+vectors are int lists rather than fixed-width arrays. A field checks that
+its modulus is prime, except for that default, which is a known prime and
+would otherwise be re-proven by every field a command builds. The marking
+stage keeps every matroid layer as one such list per ground element (a
+column) and never forms a matrix.
 
 select_independent_columns scans a list of vectors in the caller's order
 and keeps each one outside the span of those kept before it. That kept set
@@ -16,7 +18,9 @@ check and the representative-set selection both run it.
 
 kronecker_column tensors one column per layer; the caller bounds the
 tensor's dimension (the marker refuses above its tensor limit before it
-builds any). vandermonde gives the uniform layer's columns.
+builds any). vandermonde gives the uniform layer's columns, and
+check_points is its refusal of a modulus too small for its points, which
+the marker also runs before it builds any layer.
 
 random_nonzeros draws a batch of nonzero entries with the values, and the
 rng state, of one randrange(1, p) call per entry, without that call's
@@ -74,7 +78,9 @@ class PrimeField:
     p: int = MERSENNE61
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
+        # MERSENNE61 is prime (the tests assert it), so the default field
+        # skips the Miller-Rabin bases every command would otherwise pay.
+        if self.p != MERSENNE61 and not is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
         if self.p < 3:
             raise InputError("modulus must be an odd prime")
@@ -162,9 +168,16 @@ def vandermonde(field: PrimeField, rank_rows: int,
                 points: Sequence[int]) -> list[list[int]]:
     """Columns of the rank_rows x len(points) Vandermonde matrix, one per
     point: 1, x, x^2, ... mod p. Points must stay distinct mod p, so p must
-    exceed every point.
+    exceed every point (check_points).
+    """
+    check_points(field, points)
+    return [[pow(x, i, field.p) for i in range(rank_rows)] for x in points]
+
+
+def check_points(field: PrimeField, points: Sequence[int]) -> None:
+    """Refuse evaluation points that are not all below p, which keeps
+    nonnegative points distinct mod p.
     """
     if any(x >= field.p for x in points):
         raise FieldTooSmallError(
             f"modulus {field.p} too small for {len(points)} evaluation points")
-    return [[pow(x, i, field.p) for i in range(rank_rows)] for x in points]

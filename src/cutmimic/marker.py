@@ -4,6 +4,15 @@ Stacks matroid layers over the network (gammoid copies, a truncated graphic
 layer, a uniform layer), reads each edge's columns from them once, and
 keeps the representative-set survivors among the edges whose columns are
 all nonzero. Unmarked edges are the contraction candidates downstream.
+
+Whether a call is refused is decided before any rng draw or layer build.
+The layers' row counts follow from the network and the resolved params
+alone (layer_rows): the number s of terminal-incident edges (the gammoid
+sources) for each of the i0 - 1 gammoid layers; n for the graphic layer
+when its rank cap reaches the full rank n - #components, the cap
+otherwise; min(k, m) for the uniform layer. The tensor dimension is
+s^(i0-1) times the other two, so a refused call costs a component count.
+The builders' actual row counts are checked against these afterwards.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from math import prod
 
 from .errors import InputError, InternalError, MarkingRefusedError
-from .ffield import PrimeField
+from .ffield import PrimeField, check_points
 from .matroids import (
     MatroidRep,
     build_edge_cut_gammoid_digraph,
@@ -21,7 +30,7 @@ from .matroids import (
     graphic_rep,
     uniform_rep,
 )
-from .netgraph import TerminalNetwork, terminal_capacity
+from .netgraph import TerminalNetwork, components, terminal_capacity
 from .repset import representative_set_product
 from .tester import validate_c
 
@@ -84,23 +93,58 @@ class MarkResult:
     seed: int
 
 
+def layer_rows(net: TerminalNetwork, params: MarkParams, k: int,
+               full_rank: int) -> tuple[int, ...]:
+    """Row counts of the layers build_marking_matroid builds on a network
+    of terminal capacity k and full graphic rank n - #components, under
+    params resolved for k: s per gammoid layer, s the number of
+    terminal-incident edges; n for the graphic layer if the rank cap is at
+    least full_rank, the cap otherwise; min(k, m) for the uniform layer.
+    """
+    cap = params.graphic_rank_cap
+    assert cap is not None
+    tset = set(net.terminals)
+    sources = sum(u in tset or v in tset for _, u, v in net.edges)
+    graphic = net.n if cap >= full_rank else cap
+    return (sources,) * (params.i0 - 1) + (graphic, min(k, net.m))
+
+
 def build_marking_matroid(net: TerminalNetwork,
                           params: MarkParams) -> tuple[MatroidRep, ...]:
     """The layers, in order: (i0-1) independently randomized gammoid
     layers, one graphic layer truncated to the resolved rank cap, one
     uniform layer of rank k.
+
+    Before any draw or build, from layer_rows: raises FieldTooSmallError
+    when p does not exceed m (the uniform layer's points are 1..m), then
+    MarkingRefusedError when the tensor dimension, the product of the row
+    counts, exceeds TENSOR_LIMIT. Raises InternalError when a built layer's
+    row count differs from its predicted one.
     """
     k = terminal_capacity(net)
     params = params.resolve(k)
     assert params.c is not None and params.graphic_rank_cap is not None
+    full_rank = net.n - len(components(net))
+    rows = layer_rows(net, params, k, full_rank)
+    check_points(params.field, range(1, net.m + 1))
+    dim = prod(rows)
+    if dim > TENSOR_LIMIT:
+        raise MarkingRefusedError(
+            f"tensor dimension {dim} exceeds limit {TENSOR_LIMIT}; "
+            f"lower c or i0")
     rng = random.Random(params.seed)
     inst = build_edge_cut_gammoid_digraph(net)
     layers = [
         gammoid_rep(params.field, rng, inst.digraph, inst.sources, inst.ground)
         for _ in range(params.i0 - 1)
     ]
-    layers.append(graphic_rep(params.field, rng, net, params.graphic_rank_cap))
+    layers.append(graphic_rep(params.field, rng, net, params.graphic_rank_cap,
+                              full_rank=full_rank))
     layers.append(uniform_rep(params.field, net.edge_ids(), k))
+    built = tuple(layer.rows for layer in layers)
+    if built != rows:
+        raise InternalError(
+            f"layer row counts {built} differ from the predicted {rows}")
     return tuple(layers)
 
 
@@ -111,17 +155,14 @@ def mark(net: TerminalNetwork, params: MarkParams) -> MarkResult:
     the graphic and uniform layers, scanning edges in id order. An edge
     with a zero column in some layer is marked unconditionally, since only
     dropping edges can lose information; the others are the candidates.
-    Raises MarkingRefusedError when the tensor dimension, the product of
-    the layers' row counts, exceeds TENSOR_LIMIT, and InternalError when
-    more candidates survive than the product of the layer ranks allows
-    (forced edges come on top of that bound).
+    Raises what build_marking_matroid raises, so FieldTooSmallError and
+    MarkingRefusedError come from the layers' row counts before any layer
+    is built, and InternalError when more candidates survive than the
+    product of the layer ranks allows (forced edges come on top of that
+    bound).
     """
     layers = build_marking_matroid(net, params)
     dim = prod(layer.rows for layer in layers)
-    if dim > TENSOR_LIMIT:
-        raise MarkingRefusedError(
-            f"tensor dimension {dim} exceeds limit {TENSOR_LIMIT}; "
-            f"lower c or i0")
     forced: list[int] = []
     candidates: list[int] = []
     family: list[list[list[int]]] = []

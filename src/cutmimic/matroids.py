@@ -157,8 +157,13 @@ def uniform_rep(field: PrimeField, ground: Sequence[Any], r: int) -> MatroidRep:
 
 
 def graphic_rep(field: PrimeField, rng: random.Random, net: TerminalNetwork,
-                max_rank: int, retries: int = 8) -> MatroidRep:
+                max_rank: int, retries: int = 8,
+                full_rank: int | None = None) -> MatroidRep:
     """Graphic matroid of the network truncated to rank at most max_rank.
+
+    The layer has n rows (the signed incidence, untruncated) when max_rank
+    reaches the full rank n - #components, and max_rank rows otherwise. A
+    caller that already counted the components passes the full rank.
 
     Truncation is a random r x |V| projection of the signed incidence
     columns, drawn row-major; the projected columns are redrawn on the
@@ -170,7 +175,8 @@ def graphic_rep(field: PrimeField, rng: random.Random, net: TerminalNetwork,
     """
     if max_rank < 0:
         raise InputError("max_rank must be nonnegative")
-    full_rank = net.n - len(components(net))
+    if full_rank is None:
+        full_rank = net.n - len(components(net))
     r = min(max_rank, full_rank)
     ground = net.edge_ids()
     if r == full_rank:

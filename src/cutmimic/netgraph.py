@@ -11,11 +11,12 @@ All operations are value-semantic: they return new networks and never mutate
 their inputs. components(net, removed) is the one connectivity traversal,
 boundary the one cut read-off, and apply_local_event the one place a local
 event is applied. Every contracted or pruned network is built in one edit
-pass, _edited, which filters the parent's sorted tuples and skips build's
-checks: they cannot fail on a network derived from a valid one, so build
-validates only outside data. A network carries no cached index: inputs
-often stay alive for a whole run, and a cached adjacency raised the peak RSS
-of the sparse-chains benchmark from 30 MB to 44 MB. degree2_reduce instead
+pass, _edited, which filters the parent's edges, slices the dropped
+vertices out of its sorted vertex tuple and skips build's checks: they
+cannot fail on a network derived from a valid one, so build validates only
+outside data. A network carries no cached index: inputs often stay alive
+for a whole run, and a cached adjacency raised the peak RSS of the
+sparse-chains benchmark from 30 MB to 44 MB. degree2_reduce instead
 keeps its own index for the length of one call: it finds each next event
 from that index and applies the events one by one through
 apply_local_event.
@@ -32,7 +33,9 @@ Vertex ids are positive integers. Edge ids are assigned 1..m in file order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalError, TerminalContractionError
@@ -248,7 +251,9 @@ def _edited(net: TerminalNetwork, merge: dict[int, int],
     renamed to its value, and the loops this makes dropped. The caller
     guarantees that `gone` and the keys of `merge` hold no terminal and no
     value of `merge`, so filtering keeps vertices sorted, edges in id order
-    and the terminals valid, and build's checks are skipped.
+    and the terminals valid, and build's checks are skipped. The dropped
+    vertices are found in the sorted vertex tuple by bisection, so the
+    kept ones are copied as slices rather than tested one by one.
     """
     edges = []
     for e in net.edges:
@@ -261,7 +266,15 @@ def _edited(net: TerminalNetwork, merge: dict[int, int],
                 continue
             e = (e[0], u, v)
         edges.append(e)
-    vertices = tuple(w for w in net.vertices if w not in merge and w not in gone)
+    vs = net.vertices
+    pieces, start = [], 0
+    for w in sorted(gone.union(merge)):
+        i = bisect_left(vs, w, start)
+        if vs[i:i + 1] == (w,):  # a replayed event may name absent ones
+            pieces.append(vs[start:i])
+            start = i + 1
+    pieces.append(vs[start:])
+    vertices = tuple(chain.from_iterable(pieces))
     return TerminalNetwork(vertices, tuple(edges), net.terminals)
 
 

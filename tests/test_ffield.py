@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from cutmimic import ffield
 from cutmimic.errors import FieldTooSmallError, InputError
 from cutmimic.ffield import (
     MERSENNE61,
@@ -30,6 +31,22 @@ def test_field_validates():
         PrimeField(6)
     with pytest.raises(InputError):
         PrimeField(2)
+
+
+def test_field_tests_every_modulus_but_the_default(monkeypatch):
+    # 2^61 - 1 is asserted prime in test_is_prime_known_values, so the
+    # default field does not test it again
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(ffield, "is_prime", refuse)
+    assert PrimeField().p == PrimeField(MERSENNE61).p == MERSENNE61
+    with pytest.raises(AssertionError, match=r"is_prime\(101\)"):
+        PrimeField(101)
+    monkeypatch.undo()
+    assert PrimeField(101).p == 101
+    with pytest.raises(InputError, match="91 is not prime"):
+        PrimeField(91)
 
 
 IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

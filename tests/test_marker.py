@@ -3,8 +3,12 @@ bounds, the covering condition on deletion components, and soundness of the
 marked set against brute-force essential edges on density-confirmed inputs.
 """
 
+import importlib.util
 import random
+import sys
 from dataclasses import replace
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from cutmimic.marker import (
     MarkParams,
     build_marking_matroid,
     default_c,
+    layer_rows,
     mark,
 )
 from cutmimic.netgraph import (
@@ -180,6 +185,86 @@ def test_mark_refuses_all_terminal_k4_at_defaults():
     # k = 12: three gammoid layers of rank 6 against graphic 3 and uniform 6
     with pytest.raises(MarkingRefusedError):
         mark(k4(terminals=(1, 2, 3, 4)), MarkParams())
+
+
+def test_mark_refuses_before_building(monkeypatch):
+    # the refusal needs no layer: every builder raising leaves it unchanged
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("a refused mark built a layer")
+
+    for name in ("build_edge_cut_gammoid_digraph", "gammoid_rep",
+                 "graphic_rep", "uniform_rep"):
+        monkeypatch.setattr(marker, name, unbuildable)
+    with pytest.raises(MarkingRefusedError) as err:
+        mark(k4(terminals=(1, 2, 3, 4)), MarkParams())
+    assert str(err.value) == \
+        "tensor dimension 5184 exceeds limit 2048; lower c or i0"
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_layer_rows_match_built_layers(monkeypatch):
+    # every layer is built, so the refused calls are compared too
+    monkeypatch.setattr(marker, "TENSOR_LIMIT", float("inf"))
+    bench = _bench_workloads()
+    nets = ([bench.gen_corpus_small(seed) for seed in range(200)]
+            + [bench.gen_dense_k2(seed) for seed in range(20)])
+    knobs = (MarkParams(c=2, i0=2), MarkParams(c=3, i0=2),
+             MarkParams(c=6, i0=2), MarkParams())
+    refusable = 0
+    for net in nets:
+        k = terminal_capacity(net)
+        full_rank = net.n - len(components(net))
+        for params in knobs:
+            params = params.resolve(k)
+            predicted = layer_rows(net, params, k, full_rank)
+            built = build_marking_matroid(net, params)
+            assert predicted == tuple(layer.rows for layer in built)
+            refusable += prod(predicted) > 2048
+    assert refusable >= 100, refusable
+
+
+def test_mark_field_check_precedes_tensor_refusal(tmp_path, capsys):
+    # K5 plus a parallel edge, every vertex a terminal: m = 11 and a tensor
+    # far above the limit, yet at p = 11 the uniform layer's 11 points
+    # refuse first, with exit 2
+    edges = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)] + [(1, 2)]
+    net = TerminalNetwork.build(
+        range(1, 6), [(i, u, v) for i, (u, v) in enumerate(edges, 1)],
+        range(1, 6))
+    src = tmp_path / "in.net"
+    src.write_text(format_network(net))
+    with pytest.raises(MarkingRefusedError):
+        mark(net, MarkParams())
+    assert cli(["mark", str(src), "--prime", "11"]) == 2
+    assert capsys.readouterr().err == \
+        "error: modulus 11 too small for 11 evaluation points\n"
+
+
+def test_mark_row_drift_raises_internal_error(monkeypatch):
+    # an explicit raise, so the check also holds under python -O: a
+    # graphic builder that ignores its cap returns the untruncated
+    # incidence, 4 rows where the cap of 1 predicts 1
+    real = marker.graphic_rep
+
+    def uncapped(field, rng, net, max_rank, retries=8, full_rank=None):
+        return real(field, rng, net, net.n, retries, full_rank)
+
+    monkeypatch.setattr(marker, "graphic_rep", uncapped)
+    with pytest.raises(InternalError, match=r"\(5, 4, 6\) differ from the "
+                                            r"predicted \(5, 1, 6\)"):
+        mark(k4(), MarkParams(c=2, i0=2))
 
 
 def test_mark_forces_edges_unreachable_from_terminals():

@@ -11,6 +11,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 INTERNAL_ERROR_TESTS = (
     "tests/test_marker.py::test_mark_bound_breach_raises_internal_error",
+    "tests/test_marker.py::test_mark_row_drift_raises_internal_error",
     "tests/test_oracles.py::test_multiway_bad_witness_raises_internal_error",
 )
 

@@ -155,11 +155,13 @@ def mark(net: TerminalNetwork, params: MarkParams) -> MarkResult:
     the graphic and uniform layers, scanning edges in id order. An edge
     with a zero column in some layer is marked unconditionally, since only
     dropping edges can lose information; the others are the candidates.
-    Raises what build_marking_matroid raises, so FieldTooSmallError and
-    MarkingRefusedError come from the layers' row counts before any layer
-    is built, and InternalError when more candidates survive than the
-    product of the layer ranks allows (forced edges come on top of that
-    bound).
+    Raises what build_marking_matroid raises: FieldTooSmallError when
+    p <= m and MarkingRefusedError when the tensor dimension
+    s^(i0-1) * g * min(k, m) exceeds TENSOR_LIMIT, both decided from the
+    layers' row counts before any draw (s terminal-incident edges, g the
+    graphic layer's rows, see layer_rows). Raises InternalError when more
+    candidates survive than the product of the layer ranks allows (forced
+    edges come on top of that bound).
     """
     layers = build_marking_matroid(net, params)
     dim = prod(layer.rows for layer in layers)

@@ -9,17 +9,21 @@ ones produced by contraction.
 
 All operations are value-semantic: they return new networks and never mutate
 their inputs. components(net, removed) is the one connectivity traversal,
-boundary the one cut read-off, and apply_local_event the one place a local
-event is applied. Every contracted or pruned network is built in one edit
-pass, _edited, which filters the parent's edges, slices the dropped
-vertices out of its sorted vertex tuple and skips build's checks: they
-cannot fail on a network derived from a valid one, so build validates only
-outside data. A network carries no cached index: inputs often stay alive
-for a whole run, and a cached adjacency raised the peak RSS of the
-sparse-chains benchmark from 30 MB to 44 MB. degree2_reduce instead
-keeps its own index for the length of one call: it finds each next event
-from that index and applies the events one by one through
-apply_local_event.
+boundary the one cut read-off, and apply_local_event the one place a
+replayed local event is checked and applied. Every contracted or pruned
+network is built by one edit, _edited, which is handed the ids of the
+edges it touches. It finds each by bisection in the parent's id-sorted
+edge tuple, rewrites or drops it, and copies the untouched runs between
+them as slices; the dropped vertices are sliced out of the sorted vertex
+tuple the same way. It skips build's checks: they cannot fail on a network
+derived from a valid one, so build validates only outside data. A network
+carries no cached index: inputs often stay alive for a whole run, and a
+cached adjacency raised the peak RSS of the sparse-chains benchmark from
+30 MB to 44 MB. A caller without an index finds the touched edges in one
+pass (_incident). degree2_reduce keeps its own index for the length of
+one call: it finds each next event from that index, hands each edit the
+edges the index names, and checks the index against the network it
+returns.
 
 Text format (one network per file):
 
@@ -35,8 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalError, TerminalContractionError
 
@@ -94,10 +97,11 @@ class TerminalNetwork:
         return tuple(e[0] for e in self.edges)
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        for e, u, v in self.edges:
-            if e == eid:
-                return (u, v)
-        raise InputError(f"unknown edge id {eid}")
+        i = _edge_position(self.edges, eid)
+        if i is None:
+            raise InputError(f"unknown edge id {eid}")
+        _, u, v = self.edges[i]
+        return (u, v)
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> list of (edge id, other endpoint), edge-id order."""
@@ -216,18 +220,33 @@ def recursive_instance(net: TerminalNetwork, S: Iterable[int]
     return sub
 
 
-def contract_edge(net: TerminalNetwork, eid: int) -> TerminalNetwork:
+def contract_edge(net: TerminalNetwork, eid: int, *,
+                  index: Mapping[int, Iterable[int]] | None = None
+                  ) -> TerminalNetwork:
     """Contract one edge. The merged vertex keeps the terminal identity if one
     endpoint is a terminal, otherwise the smaller vertex id. Self-loops formed
     by parallel copies are discarded; all other surviving edges keep their ids.
+
+    `index` maps each vertex to the ids of its edges. Given one, the edit
+    touches only the edges it names for the vertex that disappears, so the
+    contraction costs those edges plus a slice copy; without one they are
+    found in one pass over the edges.
     """
     u, v = net.endpoints(eid)
-    u_t, v_t = u in net.terminals, v in net.terminals
-    if u_t and v_t:
+    if u in net.terminals and v in net.terminals:
         raise TerminalContractionError(
             f"edge {eid} joins terminals {u} and {v}; contraction refused")
-    keep, gone = (u, v) if u_t or (not v_t and u < v) else (v, u)
-    return _edited(net, {gone: keep})
+    keep, gone = _contraction_ends(u, v, net.terminals)
+    touched = _incident(net, {gone}) if index is None else index[gone]
+    return _edited(net, {gone: keep}, frozenset(), touched)
+
+
+def _contraction_ends(u: int, v: int, terminals: Container[int]
+                      ) -> tuple[int, int]:
+    """(kept, merged away) for contracting an edge u-v that does not join
+    two terminals: a terminal end is kept, otherwise the smaller id."""
+    return (u, v) if u in terminals or (v not in terminals and u < v) \
+        else (v, u)
 
 
 def contract_vertex_set(net: TerminalNetwork, S: Iterable[int], onto: int) -> TerminalNetwork:
@@ -242,40 +261,70 @@ def contract_vertex_set(net: TerminalNetwork, S: Iterable[int], onto: int) -> Te
     if terms_inside - {onto}:
         raise TerminalContractionError(
             f"collapsing {sorted(sset)} would merge terminals {sorted(terms_inside)}")
-    return _edited(net, dict.fromkeys(sset - {onto}, onto))
+    merged = sset - {onto}
+    return _edited(net, dict.fromkeys(merged, onto), frozenset(),
+                   _incident(net, merged))
 
 
-def _edited(net: TerminalNetwork, merge: dict[int, int],
-            gone: frozenset[int] | set[int] = frozenset()) -> TerminalNetwork:
+def _incident(net: TerminalNetwork, vertices: Container[int]
+              ) -> tuple[int, ...]:
+    """Ids of the edges with an end in `vertices`, ascending: the edges an
+    edit of those vertices touches, for a caller that keeps no index."""
+    return tuple(eid for eid, u, v in net.edges
+                 if u in vertices or v in vertices)
+
+
+def _edge_position(edges: Sequence[tuple[int, int, int]], eid: int,
+                   lo: int = 0) -> int | None:
+    """Position of edge `eid` in an id-sorted edge tuple, searched from
+    `lo`, or None if it is not there."""
+    i = bisect_left(edges, (eid,), lo)
+    return i if i < len(edges) and edges[i][0] == eid else None
+
+
+def _edited(net: TerminalNetwork, merge: Mapping[int, int],
+            gone: frozenset[int] | set[int], touched: Iterable[int]
+            ) -> TerminalNetwork:
     """net without the vertices in `gone` and their edges, each key of `merge`
-    renamed to its value, and the loops this makes dropped. The caller
-    guarantees that `gone` and the keys of `merge` hold no terminal and no
-    value of `merge`, so filtering keeps vertices sorted, edges in id order
-    and the terminals valid, and build's checks are skipped. The dropped
-    vertices are found in the sorted vertex tuple by bisection, so the
-    kept ones are copied as slices rather than tested one by one.
+    renamed to its value, and the loops this makes dropped.
+
+    `touched` holds the id of every edge with an end in `gone` or among the
+    keys of `merge`; the caller guarantees it misses none. Each is found by
+    bisection in the id-sorted edge tuple and dropped or rewritten, and the
+    runs between them are copied as slices, so an edit costs its touched
+    edges plus a slice copy. A touched id that is absent, or whose edge has
+    no edited end, raises InternalError. The caller also guarantees that
+    `gone` and the keys of `merge` hold no terminal and no value of
+    `merge`, so the edit keeps vertices sorted, edges in id order and the
+    terminals valid, and build's checks are skipped. The dropped vertices
+    are sliced out of the sorted vertex tuple the same way.
     """
-    edges = []
-    for e in net.edges:
-        _, u, v = e
+    es, edges, start = net.edges, [], 0
+    for eid in sorted(touched):
+        i = _edge_position(es, eid, start)
+        if i is None:
+            raise InternalError(f"edit: edge {eid} is not in the network "
+                                f"or is named twice")
+        _, u, v = es[i]
+        edges += es[start:i]
+        start = i + 1
         if u in gone or v in gone:
             continue
-        if u in merge or v in merge:
-            u, v = merge.get(u, u), merge.get(v, v)
-            if u == v:
-                continue
-            e = (e[0], u, v)
-        edges.append(e)
-    vs = net.vertices
-    pieces, start = [], 0
+        if u not in merge and v not in merge:
+            raise InternalError(
+                f"edit: edge {eid} ({u},{v}) has no edited end")
+        u, v = merge.get(u, u), merge.get(v, v)
+        if u != v:
+            edges.append((eid, u, v))
+    edges += es[start:]
+    vs, vertices, start = net.vertices, [], 0
     for w in sorted(gone.union(merge)):
         i = bisect_left(vs, w, start)
         if vs[i:i + 1] == (w,):  # a replayed event may name absent ones
-            pieces.append(vs[start:i])
+            vertices += vs[start:i]
             start = i + 1
-    pieces.append(vs[start:])
-    vertices = tuple(chain.from_iterable(pieces))
-    return TerminalNetwork(vertices, tuple(edges), net.terminals)
+    vertices += vs[start:]
+    return TerminalNetwork(tuple(vertices), tuple(edges), net.terminals)
 
 
 # -- local reduction rules -------------------------------------------------
@@ -317,7 +366,12 @@ def degree2_reduce(net: TerminalNetwork
     -> {edge id: other endpoint}, a min-heap of leaves and one of
     contractible degree-2 vertices. After an event only the vertex that lost
     or gained edges is re-pushed, and stale heap entries are dropped when
-    popped. Every event is applied to the network by apply_local_event.
+    popped. The index also names the edges each event touches: a leaf is
+    cut off by one _edited call on its one edge, and a contraction goes
+    through contract_edge with `index=`, so no event passes over every
+    edge. The component deletions go through apply_local_event. Once no
+    rule applies, the index is compared with the network in one pass, and
+    InternalError is raised if they differ.
     Returns the reduced network and the event list in application order.
     """
     # Imported here so that importing the package does not load heapq.
@@ -332,7 +386,7 @@ def degree2_reduce(net: TerminalNetwork
     cur = net
     for dead in events:
         cur = apply_local_event(cur, dead)
-    nbrs = {v: dict(ends) for v, ends in cur.adjacency().items()}
+    nbrs = _ends(cur)
 
     def kind(v: int) -> int:
         """1 for a leaf, 2 for a contractible degree-2 vertex, else 0."""
@@ -360,17 +414,17 @@ def degree2_reduce(net: TerminalNetwork
                 v = heappop(heap)
                 break
         else:
-            return cur, tuple(events)
+            break
         if k == 1:
             ((eid, w),) = nbrs.pop(v).items()
+            cur = _edited(cur, {}, {v}, (eid,))
             del nbrs[w][eid]
             push(w)
-            ev: LocalEvent = DeleteLeaf(v)
+            events.append(DeleteLeaf(v))
         else:
             eid = min(nbrs[v])
-            w = nbrs[v][eid]
-            # the merged vertex is the one contract_edge keeps
-            keep, gone = (w, v) if w in tset or w < v else (v, w)
+            keep, gone = _contraction_ends(v, nbrs[v][eid], tset)
+            cur = contract_edge(cur, eid, index=nbrs)  # reads nbrs[gone]
             kept = nbrs[keep]
             for e, x in nbrs.pop(gone).items():
                 if x == keep:  # a copy of the contracted edge: now a loop
@@ -382,9 +436,23 @@ def degree2_reduce(net: TerminalNetwork
                     kept[e] = x
                     nbrs[x][e] = keep
             push(keep)
-            ev = Contract(eid)
-        events.append(ev)
-        cur = apply_local_event(cur, ev)
+            events.append(Contract(eid))
+    # The edits trusted the index to name every edge they touched.
+    if _ends(cur) != nbrs:
+        raise InternalError("degree2_reduce: its index no longer matches "
+                            "the network it reduced")
+    return cur, tuple(events)
+
+
+def _ends(net: TerminalNetwork) -> dict[int, dict[int, int]]:
+    """vertex -> {edge id: other endpoint}, in edge-id order. An end that
+    is not a vertex gets an entry too, so a network whose edges name a
+    deleted vertex compares unequal to its index instead of failing."""
+    ends: dict[int, dict[int, int]] = {v: {} for v in net.vertices}
+    for eid, u, v in net.edges:
+        ends.setdefault(u, {})[eid] = v
+        ends.setdefault(v, {})[eid] = u
+    return ends
 
 
 def apply_local_event(net: TerminalNetwork, ev: LocalEvent) -> TerminalNetwork:
@@ -397,7 +465,7 @@ def apply_local_event(net: TerminalNetwork, ev: LocalEvent) -> TerminalNetwork:
                 or not gone.isdisjoint(net.terminals)):
             raise InputError(f"replay: {ev} does not delete a terminal-free "
                              f"{'leaf' if leaf else 'component'}")
-        return _edited(net, {}, gone)
+        return _edited(net, {}, gone, _incident(net, gone))
     raise InputError(f"unknown local event {ev!r}")
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cutmimic import netgraph
-from cutmimic.errors import InputError, TerminalContractionError
+from cutmimic.errors import InputError, InternalError, TerminalContractionError
 from cutmimic.netgraph import (
     Contract,
     CutRequests,
@@ -154,6 +154,9 @@ def test_contract_edge_path():
     out = contract_edge(net, 1)
     assert out.edge_ids() == (2,)
     assert out.endpoints(2) == (1, 3)
+    for eid in (0, 1, 3):  # before, among and after the edge ids
+        with pytest.raises(InputError, match=f"unknown edge id {eid}"):
+            out.endpoints(eid)
 
 
 def test_contract_edge_triangle_makes_parallel():
@@ -296,30 +299,63 @@ def test_degree2_reduce_preserves_cut_values():
 
 def test_degree2_reduce_cost_shape(monkeypatch):
     """Each next event comes from an index built once per call, so the
-    number of adjacency builds does not grow with the network; and each
-    contraction is one contract_edge call, as the benchmark's span counts."""
+    number of adjacency builds does not grow with the network; each
+    contraction is one contract_edge call, as the benchmark's span counts;
+    and the index names the edges each edit touches, so the number of
+    whole-edge passes that find them does not grow either."""
     calls = Counter()
     adjacency, contract = TerminalNetwork.adjacency, netgraph.contract_edge
+    incident = netgraph._incident
 
     def counted_adjacency(net):
         calls["adjacency"] += 1
         return adjacency(net)
 
-    def counted_contract(net, eid):
+    def counted_contract(net, eid, **kwargs):
         calls["contract_edge"] += 1
-        return contract(net, eid)
+        return contract(net, eid, **kwargs)
+
+    def counted_incident(net, vertices):
+        calls["incident"] += 1
+        return incident(net, vertices)
 
     monkeypatch.setattr(TerminalNetwork, "adjacency", counted_adjacency)
     monkeypatch.setattr(netgraph, "contract_edge", counted_contract)
-    builds = {}
+    monkeypatch.setattr(netgraph, "_incident", counted_incident)
+    builds, passes = {}, {}
     for length in (10, 1000):
         calls.clear()
         out, events = degree2_reduce(path_network(length))
         assert out.m == 1
         contractions = sum(isinstance(ev, Contract) for ev in events)
         assert calls["contract_edge"] == contractions == length - 1
+        # the same path with one terminal is cut back leaf by leaf
+        p = path_network(length)
+        out, events = degree2_reduce(
+            TerminalNetwork.build(p.vertices, p.edges, [0]))
+        assert out.m == 0 and len(events) == length
+        assert all(isinstance(ev, DeleteLeaf) for ev in events)
         builds[length] = calls["adjacency"]
+        passes[length] = calls["incident"]
     assert builds[10] == builds[1000]
+    assert passes[10] == passes[1000]
+
+
+def test_degree2_index_drift_raises_internal_error(monkeypatch):
+    """A contraction that leaves its network unchanged makes the index
+    degree2_reduce keeps disagree with the network it returns."""
+    monkeypatch.setattr(netgraph, "contract_edge",
+                        lambda net, eid, **kwargs: net)
+    with pytest.raises(InternalError, match="index no longer matches"):
+        degree2_reduce(path_network(5))
+
+
+def test_edit_of_an_unedited_edge_raises_internal_error():
+    net = path_with_one_terminal()  # edge 2 joins 2 and 3
+    with pytest.raises(InternalError, match="edge 2 .* has no edited end"):
+        netgraph._edited(net, {}, {1}, (1, 2))
+    with pytest.raises(InternalError, match="edge 9 is not in the network"):
+        netgraph._edited(net, {}, {1}, (1, 9))
 
 
 def test_boundary_sum_bound():
@@ -482,9 +518,13 @@ def test_edits_match_build_references_property(net, with_cycle, data):
         kinds = ["set"] + ["edge"] * bool(free) + ["leaf"] * bool(leaves) \
             + ["component"] * bool(dead)
         kind = data.draw(st.sampled_from(kinds))
+        # vertex -> its edge ids, as degree2_reduce hands it to an edit
+        index = {v: [e for e, _ in ends]
+                 for v, ends in net.adjacency().items()}
         if kind == "edge":
             eid = data.draw(st.sampled_from(free))
             out, want = contract_edge(net, eid), reference_contract_edge(net, eid)
+            spliced = contract_edge(net, eid, index=index)
         elif kind == "set":
             S = data.draw(st.sets(st.sampled_from(net.vertices), min_size=1))
             inside = sorted(S & tset)
@@ -493,12 +533,20 @@ def test_edits_match_build_references_property(net, with_cycle, data):
             onto = inside[0] if inside else data.draw(st.sampled_from(sorted(S)))
             out = contract_vertex_set(net, S, onto)
             want = reference_contract_vertex_set(net, S, onto)
+            merged = S - {onto}
+            spliced = netgraph._edited(
+                net, dict.fromkeys(merged, onto), frozenset(),
+                {e for w in merged for e in index[w]})
         else:
             ev = (DeleteLeaf(data.draw(st.sampled_from(leaves)))
                   if kind == "leaf" else
                   DeleteComponent(data.draw(st.sampled_from(dead))))
             out, want = apply_local_event(net, ev), reference_delete(net, ev)
+            gone = {ev.vertex} if kind == "leaf" else set(ev.vertices)
+            spliced = netgraph._edited(
+                net, {}, gone, {e for w in gone for e in index[w]})
         assert out == want, kind
+        assert spliced == out, kind
         assert out == TerminalNetwork.build(out.vertices, out.edges,
                                             out.terminals), kind
         net = out

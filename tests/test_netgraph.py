@@ -325,12 +325,12 @@ def test_degree2_reduce_cost_shape(monkeypatch):
     builds, passes = {}, {}
     for length in (10, 1000):
         calls.clear()
-        out, events = degree2_reduce(path_network(length))
+        p = path_network(length)
+        out, events = degree2_reduce(p)
         assert out.m == 1
         contractions = sum(isinstance(ev, Contract) for ev in events)
         assert calls["contract_edge"] == contractions == length - 1
         # the same path with one terminal is cut back leaf by leaf
-        p = path_network(length)
         out, events = degree2_reduce(
             TerminalNetwork.build(p.vertices, p.edges, [0]))
         assert out.m == 0 and len(events) == length

@@ -90,15 +90,6 @@ class Digraph:
     def in_neighbors(self, v: Node) -> tuple[Node, ...]:
         return self._in[v]
 
-    @property
-    def arcs(self) -> tuple[tuple[Node, Node], ...]:
-        """(tail, head) pairs by the node order of the tail, then the head."""
-        outs: dict[Node, list[Node]] = {v: [] for v in self.nodes}
-        for v in self.nodes:
-            for u in self._in[v]:
-                outs[u].append(v)
-        return tuple((u, v) for u in self.nodes for v in outs[u])
-
 
 @dataclass(frozen=True)
 class MatroidRep:

@@ -363,15 +363,16 @@ def degree2_reduce(net: TerminalNetwork
     over any partition of T changes.
 
     Each next event is found from an index kept for this call only: vertex
-    -> {edge id: other endpoint}, a min-heap of leaves and one of
-    contractible degree-2 vertices. After an event only the vertex that lost
-    or gained edges is re-pushed, and stale heap entries are dropped when
-    popped. The index also names the edges each event touches: a leaf is
-    cut off by one _edited call on its one edge, and a contraction goes
-    through contract_edge with `index=`, so no event passes over every
-    edge. The component deletions go through apply_local_event. Once no
-    rule applies, the index is compared with the network in one pass, and
-    InternalError is raised if they differ.
+    -> {edge id: other endpoint}, and one min-heap of (kind, vertex) entries
+    in which leaves (kind 1) sort before contractible degree-2 vertices
+    (kind 2). After an event only the vertex that lost or gained edges is
+    re-pushed, and an entry whose vertex changed kind since it was pushed
+    is dropped when popped. The index also names the edges each event
+    touches: a leaf is cut off by one _edited call on its one edge, and a
+    contraction goes through contract_edge with `index=`, so no event
+    passes over every edge. The component deletions go through
+    apply_local_event. Once no rule applies, the index is compared with
+    the network in one pass, and InternalError is raised if they differ.
     Returns the reduced network and the event list in application order.
     """
     # Imported here so that importing the package does not load heapq.
@@ -397,24 +398,19 @@ def degree2_reduce(net: TerminalNetwork
             return 1
         return 2 if len(ends) == 2 and len(set(ends.values())) == 2 else 0
 
-    heaps: dict[int, list[int]] = {1: [], 2: []}
+    heap: list[tuple[int, int]] = []  # (kind, vertex): leaves sort first
 
     def push(v: int) -> None:
         k = kind(v)
         if k:
-            heappush(heaps[k], v)
+            heappush(heap, (k, v))
 
     for v in cur.vertices:
         push(v)
-    while True:
-        for k, heap in heaps.items():  # leaves first
-            while heap and kind(heap[0]) != k:
-                heappop(heap)
-            if heap:
-                v = heappop(heap)
-                break
-        else:
-            break
+    while heap:
+        k, v = heappop(heap)
+        if kind(v) != k:  # stale: v changed kind since it was pushed
+            continue
         if k == 1:
             ((eid, w),) = nbrs.pop(v).items()
             cur = _edited(cur, {}, {v}, (eid,))

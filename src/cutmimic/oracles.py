@@ -8,9 +8,10 @@ runs in `min_cut_side`, every cut read off a flow comes from
 component test reads one vertex -> component map, `_component_of`.
 
 Essentiality is decided by re-solving with the edge made undeletable
-(infinite capacity) and comparing values, never by enumerating witnesses;
-only the edges of one minimum witness are re-solved, since that witness
-avoids every other edge.
+(contracted) and comparing values, never by enumerating witnesses; only
+the edges of one minimum witness are re-solved, since that witness avoids
+every other edge. So every flow and every search solves one problem: cuts
+of unit edges, any of which may be deleted.
 The witness enumerator and the isolating-cut 2-approximation that the tests
 check these solvers against are reference code in the test suite.
 
@@ -19,17 +20,16 @@ Work done once per top-level call, with nothing kept between calls:
   one bit per edge, so an edge set is one int, adjacency lists, and per
   ordered group pair a memo from edge mask to the violating path the BFS
   finds). `verify_mimicking`, `cut_value_table` and `essential_edges`
-  build one per network and hand it to every search of their call
+  build one per network and hand it to every search of their call on it
   (`min_multiway_cut` and `min_multicut` take it as `index=`); a lone
-  search builds its own. It is dropped when the call returns, and the
-  witness checks (`is_multiway_cut`, `is_multicut`) never read it;
+  search, such as one on a network `essential_edges` contracted, builds
+  its own. It is dropped when the call returns, and the witness checks
+  (`is_multiway_cut`, `is_multicut`) never read it;
 - within one search, each edge set's shortest violating path is chosen
   once: one memo serves every deepening round, and a request pair found
   separated stays skipped for the set's supersets;
 - it runs no lower-bound flows: rounds below the optimum fail whatever
-  budget they start from, so deepening starts at 0, and the impossible case
-  (a pair joined by undeletable edges alone) is found first by one
-  `components` pass over the network minus its deletable edges;
+  budget they start from, so deepening starts at 0;
 - `verify_mimicking` solves each distinct spot-check request set once per
   network: a set drawn again was already found equal on both.
 """
@@ -49,24 +49,22 @@ from .netgraph import (
     all_partitions,
     boundary,
     components,
+    contract_edge,
 )
 
-INF = 10 ** 9
 FLOW_EDGE_CEILING = 4096
 BB_EDGE_CEILING = 64
 MAX_ORACLE_TERMINALS = 5
 SPOT_CHECKS = 100  # multicut request sets `verify_mimicking` draws
 
 
-# -- max flow with removable / undeletable edges -----------------------------
+# -- max flow on unit edges --------------------------------------------------
 
-def min_cut_side(net: TerminalNetwork, A: Iterable[int], B: Iterable[int], *,
-                 forbidden: frozenset[int] = frozenset()
+def min_cut_side(net: TerminalNetwork, A: Iterable[int], B: Iterable[int]
                  ) -> tuple[int, frozenset[int]]:
     """Minimum (A,B) cut value and the inclusion-minimal A-side vertex set,
     by unit-capacity undirected max flow: the residual-reachable set from A.
-    Edges in `forbidden` have infinite capacity (they can never be cut);
-    the value is INF when A and B stay connected through them alone.
+    Every residual starts at 1 and every augmenting path carries one unit.
     """
     aset, bset = set(A), set(B)
     vset = set(net.vertices)
@@ -80,8 +78,8 @@ def min_cut_side(net: TerminalNetwork, A: Iterable[int], B: Iterable[int], *,
         raise RefusedError(f"{net.m} edges exceeds flow ceiling {FLOW_EDGE_CEILING}")
 
     incident = net.adjacency()
-    rem = {eid: {u: INF, v: INF} if eid in forbidden else {u: 1, v: 1}
-           for eid, u, v in net.edges}  # edge -> residual out of each end
+    # edge -> residual out of each end
+    rem = {eid: {u: 1, v: 1} for eid, u, v in net.edges}
 
     value = 0
     while True:
@@ -112,13 +110,10 @@ def min_cut_side(net: TerminalNetwork, A: Iterable[int], B: Iterable[int], *,
             x, eid = parent[y]
             path.append((x, y, eid))
             y = x
-        delta = min(rem[eid][x] for x, _, eid in path)
-        if delta >= INF // 2:
-            return INF, frozenset(seen)
         for x, yy, eid in path:
-            rem[eid][x] -= delta
-            rem[eid][yy] += delta
-        value += delta
+            rem[eid][x] -= 1
+            rem[eid][yy] += 1
+        value += 1
 
 
 def closest_min_cut(net: TerminalNetwork, A: Iterable[int],
@@ -251,42 +246,33 @@ def _check_index(net: TerminalNetwork, index: _SearchIndex | None) -> None:
 
 def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
                       pair_list: Sequence[tuple[int, int]],
-                      forbidden: frozenset[int], index: _SearchIndex | None
-                      ) -> tuple[int, tuple[int, ...] | None]:
-    """Minimum edge set X (disjoint from `forbidden`) whose removal puts
-    every listed group-index pair in different components. Iterative
-    deepening with path branching, refused above BB_EDGE_CEILING edges.
-    Reads `index` (built here when None). Returns (INF, None) when
-    impossible.
+                      index: _SearchIndex | None
+                      ) -> tuple[int, tuple[int, ...]]:
+    """Minimum edge set X whose removal puts every listed group-index pair
+    (of disjoint groups) in different components. Iterative deepening with
+    path branching, refused above BB_EDGE_CEILING edges. Reads `index`
+    (built here when None). Deepening ends by budget m, since deleting
+    every edge separates any two disjoint groups.
     """
     if not pair_list:
         return 0, ()
     if net.m > BB_EDGE_CEILING:
         raise RefusedError(
             f"{net.m} edges exceeds search ceiling {BB_EDGE_CEILING}")
-    if forbidden:  # a pair joined by forbidden edges alone cannot be cut
-        comp_of = _component_of(net, set(net.edge_ids()) - forbidden)
-        for i, j in pair_list:
-            if {comp_of[v] for v in groups[i]} & \
-                    {comp_of[v] for v in groups[j]}:
-                return INF, None
 
     if index is None:
         index = _SearchIndex(net)
     adj, distinct = index.adj, index.distinct
-    fixed = 0  # bits of the forbidden edges
-    for i, (eid, _, _) in enumerate(net.edges):
-        if eid in forbidden:
-            fixed |= 1 << i
     pairs = [index.pair(groups[i], groups[j]) for i, j in pair_list]
 
-    # edge set -> (deletable bits of its shortest violating path, in path
+    # edge set -> (edge bits of its shortest violating path, in path
     # order, or None when it separates every pair; mask of separated pairs)
-    memo: dict[int, tuple[Sequence[int] | None, int]] = {}
+    memo: dict[int, tuple[tuple[int, ...] | None, int]] = {}
 
-    def violating(X: int, sep: int) -> tuple[Sequence[int] | None, int]:
+    def violating(X: int, sep: int
+                  ) -> tuple[tuple[int, ...] | None, int]:
         # Shortest offending path over the pairs not yet separated.
-        best: Sequence[int] | None = None
+        best: tuple[int, ...] | None = None
         for k, (left, right, paths) in enumerate(pairs):
             if sep >> k & 1:
                 continue
@@ -302,8 +288,6 @@ def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
                 best = path
                 if len(best) == 1:
                     break
-        if best is not None and fixed:
-            best = [bit for bit in best if not bit & fixed]
         return best, sep
 
     def dfs(X: int, sep: int, remaining: int) -> int | None:
@@ -332,24 +316,7 @@ def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
             witness = tuple(sorted(eid for i, (eid, _, _)
                                    in enumerate(net.edges) if res >> i & 1))
             return len(witness), witness
-    return INF, None
-
-
-def _solve_multiway(net: TerminalNetwork, part: Partition,
-                    forbidden: frozenset[int],
-                    index: _SearchIndex | None = None
-                    ) -> tuple[int, tuple[int, ...] | None]:
-    blocks = part.blocks
-    if len(blocks) <= 1:
-        return 0, ()
-    if len(blocks) == 2:
-        if forbidden:  # only essential_edges forbids, and it reads the value
-            return min_cut_side(net, *blocks, forbidden=forbidden)[0], None
-        cut = closest_min_cut(net, *blocks)
-        return len(cut), cut
-    pair_list = [(i, j) for i in range(len(blocks))
-                 for j in range(i + 1, len(blocks))]
-    return _solve_separation(net, blocks, pair_list, forbidden, index)
+    raise InternalError(f"search found no cut within {net.m} deletions")
 
 
 def min_multiway_cut(net: TerminalNetwork, part: Partition, *,
@@ -362,9 +329,16 @@ def min_multiway_cut(net: TerminalNetwork, part: Partition, *,
     """
     _check_partition(net, part)
     _check_index(net, index)
-    value, witness = _solve_multiway(net, part, frozenset(), index)
-    if value >= INF // 2 or witness is None:
-        raise InternalError(f"no finite multiway cut for {part.to_text()}")
+    blocks = part.blocks
+    if len(blocks) <= 1:
+        value, witness = 0, ()
+    elif len(blocks) == 2:
+        witness = closest_min_cut(net, *blocks)
+        value = len(witness)
+    else:
+        pair_list = [(i, j) for i in range(len(blocks))
+                     for j in range(i + 1, len(blocks))]
+        value, witness = _solve_separation(net, blocks, pair_list, index)
     if not is_multiway_cut(net, part, witness):
         raise InternalError(
             f"witness {witness} of value {value} is not a multiway cut "
@@ -391,9 +365,7 @@ def min_multicut(net: TerminalNetwork, requests: CutRequests, *,
     group_of = {v: i for i, v in enumerate(ends)}
     pair_list = [(group_of[u], group_of[v]) for u, v in pairs]
     value, witness = _solve_separation(net, [(v,) for v in ends], pair_list,
-                                       frozenset(), index)
-    if value >= INF // 2 or witness is None:
-        raise InternalError(f"no finite multicut for {len(pairs)} requests")
+                                       index)
     if not is_multicut(net, requests, witness):
         raise InternalError(
             f"witness {witness} of value {value} is not a multicut "
@@ -413,20 +385,29 @@ def _check_terminal_count(net: TerminalNetwork) -> None:
 def essential_edges(net: TerminalNetwork) -> dict[Partition, tuple[int, ...]]:
     """Per partition, the edges present in every minimum multiway cut.
 
-    An edge is essential iff making it undeletable (infinite capacity)
-    strictly raises the minimum value. Only the edges of one minimum witness
-    W are tried: W avoids every other edge, so none of those is in every
-    minimum cut. W is ascending, so each tuple is too, and the keys come
-    in `all_partitions` order.
+    An edge is essential iff making it undeletable strictly raises the
+    minimum value. Only the edges of one minimum witness W are tried: W
+    avoids every other edge, so none of those is in every minimum cut.
+    - An edge of W that joins two terminals is essential without a solve:
+      W is minimum, so the edge joins two blocks and every cut holds it.
+    - Any other edge e is made undeletable by contracting it. The cuts
+      that avoid e are the cuts of `contract_edge(net, e)`, under the same
+      edge ids: parallel copies of e become loops, which no minimal cut
+      holds. So e is essential iff that network's value exceeds W's.
+    Every value is read through `min_multiway_cut`, whose witness check
+    covers the re-solves too. W is ascending, so each tuple is too, and
+    the keys come in `all_partitions` order.
     """
     _check_terminal_count(net)
     index = _SearchIndex(net)
+    terminals = set(net.terminals)
     out: dict[Partition, tuple[int, ...]] = {}
     for part in all_partitions(net.terminals):
-        base, witness = _solve_multiway(net, part, frozenset(), index)
+        base, witness = min_multiway_cut(net, part, index=index)
         out[part] = tuple(
             e for e in witness
-            if _solve_multiway(net, part, frozenset([e]), index)[0] > base)
+            if terminals.issuperset(net.endpoints(e))
+            or min_multiway_cut(contract_edge(net, e), part)[0] > base)
     return out
 
 

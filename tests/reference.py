@@ -11,7 +11,8 @@ re-validated by build) or a construction a gate measures the engine
 against (the direct sum of layers, the isolating-cut 2-approximation, the
 covering condition), plus the helpers the tests build inputs with: random
 matrices as column lists, the product-form selection on tuples of ground
-elements, and the arc-list constructor of the hand-built test digraphs.
+elements, the arc-list constructor of the hand-built test digraphs and
+the arc list of a digraph.
 The file name keeps pytest from collecting it; tests import it as
 `reference`, which works because pytest puts this directory on sys.path.
 """
@@ -153,6 +154,16 @@ def digraph_from_arcs(nodes: Iterable[Node],
     return Digraph({v: sorted(ins[v], key=pos.__getitem__) for v in order})
 
 
+def arcs(dg: Digraph) -> tuple[tuple[Node, Node], ...]:
+    """(tail, head) pairs of a digraph by the node order of the tail, then
+    the head."""
+    outs: dict[Node, list[Node]] = {v: [] for v in dg.nodes}
+    for v in dg.nodes:
+        for u in dg.in_neighbors(v):
+            outs[u].append(v)
+    return tuple((u, v) for u in dg.nodes for v in outs[u])
+
+
 def reference_edge_cut_gammoid_digraph(net: TerminalNetwork
                                        ) -> GammoidInstance:
     """build_edge_cut_gammoid_digraph as a set of generated arcs: for every
@@ -203,7 +214,7 @@ def max_disjoint_paths(dg: Digraph, sources: Sequence[Node],
 
     for v in dg.nodes:
         add(("i", v), ("o", v), 1)
-    for u, v in dg.arcs:
+    for u, v in arcs(dg):
         add(("o", u), ("i", v), 1)
     for s in set(sources):
         add(SRC, ("i", s), 1)

@@ -2,9 +2,11 @@
 
 The reference re-finds terminal-free components and rescans every vertex
 after every event, and applies each event inline; degree2_reduce deletes
-those components once, up front, finds each next event from a per-call
-index and applies every event through apply_local_event. Both must return
-the identical (network, events) pair on every input.
+those components once, up front, through apply_local_event, finds each
+next event from a per-call index and hands that index's edges to each
+edit: a leaf is cut off by one _edited call on its one edge, and a
+contraction goes through contract_edge(..., index=). Both must return the
+identical (network, events) pair on every input.
 """
 
 import random

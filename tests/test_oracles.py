@@ -19,6 +19,7 @@ from cutmimic.netgraph import (
     Partition,
     TerminalNetwork,
     all_partitions,
+    contract_edge,
 )
 from cutmimic.oracles import (
     CutValueTable,
@@ -201,25 +202,6 @@ def test_search_runs_no_flow(monkeypatch):
     assert calls == []
 
 
-def test_search_impossible_when_forbidden_edges_join_two_blocks():
-    net = triangle()
-    part = singletons(net)
-    assert essential_edges(net)[part] == (1, 2, 3)
-    for e in (1, 2, 3):  # each edge joins two singleton blocks
-        assert oracles._solve_multiway(net, part, frozenset([e])) == \
-            (oracles.INF, None)
-    # two forbidden edges join all three terminals; so does a forbidden
-    # path through a non-terminal
-    assert oracles._solve_multiway(net, part, frozenset([1, 2]))[0] == \
-        oracles.INF
-    star = star3()
-    assert oracles._solve_multiway(star, singletons(star),
-                                   frozenset([1, 2]))[0] == oracles.INF
-    # a forbidden edge that joins no two blocks leaves a finite cut
-    assert oracles._solve_multiway(star, singletons(star),
-                                   frozenset([1])) == (2, (2, 3))
-
-
 @st.composite
 def small_search_instances(draw):
     # 3-4 terminals and m <= 5 + 4 edges, small enough for subset search
@@ -305,13 +287,16 @@ def test_shared_index_replays_recording_in_any_order():
 
 
 def per_call_essential(net):
-    # essential_edges' rule with a fresh index for every search
+    # essential_edges' rule with a fresh index for every search: an edge of
+    # a minimum witness is essential if it joins two terminals, or if
+    # contracting it raises the value
     out = {}
     for part in all_partitions(net.terminals):
-        base, witness = oracles._solve_multiway(net, part, frozenset())
+        base, witness = min_multiway_cut(net, part)
         out[part] = tuple(
             e for e in witness
-            if oracles._solve_multiway(net, part, frozenset([e]))[0] > base)
+            if set(net.endpoints(e)) <= set(net.terminals)
+            or min_multiway_cut(contract_edge(net, e), part)[0] > base)
     return out
 
 
@@ -327,16 +312,6 @@ def test_whole_call_index_matches_per_call_results():
              for p in all_partitions(net.terminals)),
             key=lambda r: (len(r[0].blocks), r[0].to_text()))), seed
         assert essential_edges(net) == per_call_essential(net), seed
-        # forbidden-edge re-solves of every edge through one index, in a
-        # shuffled order, against a fresh search each
-        index = oracles._SearchIndex(net)
-        solves = [(p, e) for p in all_partitions(net.terminals)
-                  if len(p.blocks) >= 3 for e in net.edge_ids()]
-        rng.shuffle(solves)
-        for part, e in solves:
-            assert oracles._solve_multiway(net, part, frozenset([e]), index) \
-                == oracles._solve_multiway(net, part, frozenset([e])), \
-                (seed, part.to_text(), e)
 
 
 def test_index_of_another_network_is_refused():
@@ -438,12 +413,38 @@ def test_essential_single_block_always_empty():
         assert per[single] == ()
 
 
+def test_essential_triangle_every_edge():
+    # each edge joins two singleton blocks, so every cut holds it
+    net = triangle()
+    assert essential_edges(net)[singletons(net)] == (1, 2, 3)
+
+
+def terminal_multigraph(rng):
+    # a connected network with 2-4 terminals, plus a parallel copy of an
+    # edge at a terminal and one or two edges joining two terminals
+    t = rng.randint(2, 4)
+    net = random_connected_network(
+        rng, n_lo=t + 1, n_hi=6, extra_hi=2, n_terminals=t)
+    tset = set(net.terminals)
+    edges = list(net.edges)
+    eid = net.fresh_edge_id()
+    _, u, v = rng.choice([e for e in edges if tset & {e[1], e[2]}])
+    edges.append((eid, u, v))
+    a, b = rng.sample(net.terminals, 2)
+    edges += [(eid + i, a, b) for i in range(1, rng.randint(1, 2) + 1)]
+    return TerminalNetwork.build(net.vertices, edges, net.terminals)
+
+
 def test_essential_matches_witness_intersection():
-    # e is in every minimum witness iff forbidding it raises the value
-    for seed in range(10):
-        rng = random.Random(300 + seed)
-        net = random_connected_network(
-            rng, n_lo=3, n_hi=5, extra_hi=2, n_terminals=2)
+    # e is in every minimum witness iff making it undeletable raises the
+    # value: on simple draws, and on multigraphs with parallel edges at a
+    # terminal and edges joining two terminals
+    nets = [random_connected_network(random.Random(300 + seed), n_lo=3,
+                                     n_hi=5, extra_hi=2, n_terminals=2)
+            for seed in range(10)]
+    nets += [terminal_multigraph(random.Random(3300 + seed))
+             for seed in range(40)]
+    for i, net in enumerate(nets):
         per = essential_edges(net)
         for part in all_partitions(net.terminals):
             if len(part.blocks) == 1:
@@ -452,7 +453,7 @@ def test_essential_matches_witness_intersection():
             shared = set(net.edge_ids())
             for X in cuts:
                 shared &= set(X)
-            assert set(per[part]) == shared, (seed, part)
+            assert set(per[part]) == shared, (i, part)
 
 
 def test_essential_refuses_many_terminals():
@@ -516,33 +517,6 @@ def test_closest_cut_side_is_inclusion_minimal():
             if b in side:
                 continue
             assert reach <= side, (seed, X)
-
-
-def test_flow_forbidden_edges_match_brute_force():
-    # forbidden edges cannot be cut: INF exactly when they alone join A to
-    # B, else the least cut over edge sets that avoid them
-    for seed in range(16):  # 9 INF, 7 finite
-        rng = random.Random(450 + seed)
-        net = random_connected_network(
-            rng, n_lo=3, n_hi=7, extra_hi=4, n_terminals=3)
-        ids = net.edge_ids()
-        F = frozenset(rng.sample(ids, rng.randint(1, len(ids) // 2)))
-        A, B = net.terminals[:1], net.terminals[1:]
-        value, _ = min_cut_side(net, A, B, forbidden=F)
-        cuttable = [e for e in ids if e not in F]
-
-        def separated(removed):
-            side = next(c for c in naive_components(net, removed)
-                        if A[0] in c)
-            return not side & set(B)
-
-        if not separated(set(cuttable)):
-            assert value == oracles.INF, seed
-            continue
-        best = next(r for r in range(len(cuttable) + 1)
-                    if any(separated(set(X))
-                           for X in itertools.combinations(cuttable, r)))
-        assert value == best, seed
 
 
 def test_flow_refuses_huge_graphs():

@@ -3,10 +3,12 @@ Marking and the full reduction loop
 ===================================
 
 The reducer shrinks a network while preserving every partition's minimum
-multiway cut value. Dense instances get the matroid marking treatment: a
-representative-set computation selects a small edge set Z, and some edge
-outside Z is contracted. Sparse instances recurse on the sparse side. The
-trace records each step and can replay the run.
+multiway cut value. On a dense instance it first contracts every edge whose
+ends are more than k-connected, since no minimum cut can hold one; only when
+there is none does the matroid marking run: a representative-set
+computation selects a small edge set Z, and some edge outside Z is
+contracted. Sparse instances recurse on the sparse side. The trace records
+each step and can replay the run.
 """
 
 from cutmimic.marker import MarkParams, mark
@@ -40,7 +42,9 @@ result = mark(net, mark_params)
 print("marked", len(result.marked), "of", net.m, "edges:",
       list(result.marked))
 
-# the full loop, forced past its base case so the dense branch runs
+# the full loop, forced past its base case so the dense branch runs: every
+# clique edge has lambda = 5 > k, so the loop contracts the clique without
+# marking, and the degree-2 rules finish the job
 params = ReduceParams(threshold=10, mark=mark_params)
 reduced, trace = mimicking_network(net, params)
 print()

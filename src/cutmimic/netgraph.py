@@ -169,13 +169,16 @@ def neighborhood(net: TerminalNetwork, S: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def components(net: TerminalNetwork, removed: Iterable[int] = ()
+def components(net: TerminalNetwork, removed: Iterable[int] = (), *,
+               adj: Mapping[int, Iterable[tuple[int, int]]] | None = None
                ) -> tuple[tuple[int, ...], ...]:
     """Connected components of net minus the edge ids in `removed`, as
-    sorted vertex tuples ordered by min vertex.
+    sorted vertex tuples ordered by min vertex. `adj` is net's
+    `adjacency()`, built here when not given.
     """
     drop = set(removed)
-    adj = net.adjacency()
+    if adj is None:
+        adj = net.adjacency()
     seen: set[int] = set()
     comps: list[tuple[int, ...]] = []
     for start in net.vertices:  # ascending, so each start is its comp's min

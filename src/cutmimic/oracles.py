@@ -3,9 +3,11 @@
 Flow-based routes (bipartitions, single requests, closest cuts) are exact at
 any size this package handles; partition counts and branch-and-bound searches
 are guarded by explicit ceilings and refuse rather than grind. Every flow
-runs in `min_cut_side`, every cut read off a flow comes from
-`closest_min_cut` (which checks its size against the flow value), and every
-component test reads one vertex -> component map, `_component_of`.
+runs in one augmenting loop, `unit_flow`: `min_cut_side` runs it to the
+end, and the reducer's connectivity rule stops it after k + 1 paths. Every
+cut read off a flow comes from `closest_min_cut` (which checks its size
+against the flow value), and every component test reads one vertex ->
+component map, `_component_of`.
 
 Essentiality is decided by re-solving with the edge made undeletable
 (contracted) and comparing values, never by enumerating witnesses; only
@@ -23,8 +25,11 @@ Work done once per top-level call, with nothing kept between calls:
   build one per network and hand it to every search of their call on it
   (`min_multiway_cut` and `min_multicut` take it as `index=`); a lone
   search, such as one on a network `essential_edges` contracted, builds
-  its own. It is dropped when the call returns, and the witness checks
-  (`is_multiway_cut`, `is_multicut`) never read it;
+  its own. It is dropped when the call returns;
+- the index also keeps the network's plain `adjacency()`, built once, and
+  the witness checks (`is_multiway_cut`, `is_multicut`) of a solver
+  handed an index read their components off it, never the search's bit
+  masks; without an index a check builds its own;
 - within one search, each edge set's shortest violating path is chosen
   once: one memo serves every deepening round, and a request pair found
   separated stays skipped for the set's supersets;
@@ -39,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, InternalError, RefusedError
 from .netgraph import (
@@ -52,6 +57,8 @@ from .netgraph import (
     contract_edge,
 )
 
+Adjacency = Mapping[int, Sequence[tuple[int, int]]]  # `adjacency()` shape
+
 FLOW_EDGE_CEILING = 4096
 BB_EDGE_CEILING = 64
 MAX_ORACLE_TERMINALS = 5
@@ -63,8 +70,8 @@ SPOT_CHECKS = 100  # multicut request sets `verify_mimicking` draws
 def min_cut_side(net: TerminalNetwork, A: Iterable[int], B: Iterable[int]
                  ) -> tuple[int, frozenset[int]]:
     """Minimum (A,B) cut value and the inclusion-minimal A-side vertex set,
-    by unit-capacity undirected max flow: the residual-reachable set from A.
-    Every residual starts at 1 and every augmenting path carries one unit.
+    by unit-capacity undirected max flow (`unit_flow` run to the end): the
+    residual-reachable set from A.
     """
     aset, bset = set(A), set(B)
     vset = set(net.vertices)
@@ -77,25 +84,38 @@ def min_cut_side(net: TerminalNetwork, A: Iterable[int], B: Iterable[int]
     if net.m > FLOW_EDGE_CEILING:
         raise RefusedError(f"{net.m} edges exceeds flow ceiling {FLOW_EDGE_CEILING}")
 
-    incident = net.adjacency()
-    # edge -> residual out of each end
-    rem = {eid: {u: 1, v: 1} for eid, u, v in net.edges}
+    value, reach = unit_flow(net.adjacency(), aset, bset)
+    return value, frozenset(reach)
 
+
+def unit_flow(incident: Adjacency, A: set[int], B: set[int],
+              cap: int | None = None) -> tuple[int, set[int]]:
+    """The one augmenting-path loop. `incident` is a network's
+    `adjacency()`, A and B are disjoint sets of its vertices, and every
+    edge has capacity 1 each way. Each round augments one unit along a
+    shortest residual path. It returns the number of paths found and the
+    vertices reached from A in the last round: the inclusion-minimal
+    minimum-cut side when the loop ran out of paths. Given `cap`, it stops
+    once it has found `cap` paths, so the value is min(lambda(A, B), cap).
+    """
+    # edge -> the end its unit of flow leaves from; absent while it carries
+    # none. The residual out of x is 0 if the unit leaves x, else 1 or 2.
+    sent: dict[int, int] = {}
     value = 0
     while True:
         parent: dict[int, tuple[int, int]] = {}
-        seen = set(aset)
-        queue = list(sorted(aset))
+        seen = set(A)
+        queue = sorted(A)
         hit = None
         while queue and hit is None:
             nxt: list[int] = []
             for x in queue:
                 for eid, y in incident[x]:
-                    if y in seen or rem[eid][x] <= 0:
+                    if y in seen or sent.get(eid) == x:
                         continue
                     seen.add(y)
                     parent[y] = (x, eid)
-                    if y in bset:
+                    if y in B:
                         hit = y
                         break
                     nxt.append(y)
@@ -103,17 +123,18 @@ def min_cut_side(net: TerminalNetwork, A: Iterable[int], B: Iterable[int]
                     break
             queue = nxt
         if hit is None:
-            return value, frozenset(seen)
-        path: list[tuple[int, int, int]] = []  # (from, to, eid)
+            return value, seen
         y = hit
-        while y not in aset:
+        while y not in A:
             x, eid = parent[y]
-            path.append((x, y, eid))
+            if sent.get(eid) == y:  # cancels the unit sent y -> x
+                del sent[eid]
+            else:
+                sent[eid] = x
             y = x
-        for x, yy, eid in path:
-            rem[eid][x] -= 1
-            rem[eid][yy] += 1
         value += 1
+        if value == cap:
+            return value, seen
 
 
 def closest_min_cut(net: TerminalNetwork, A: Iterable[int],
@@ -137,16 +158,17 @@ def _check_partition(net: TerminalNetwork, part: Partition) -> None:
         raise InputError("partition must cover exactly the terminal set")
 
 
-def _component_of(net: TerminalNetwork, removed: Iterable[int]
-                  ) -> dict[int, int]:
-    """Vertex -> index of its component in net minus the edge ids `removed`."""
-    return {v: i for i, comp in enumerate(components(net, removed))
+def _component_of(net: TerminalNetwork, removed: Iterable[int],
+                  adj: Adjacency | None) -> dict[int, int]:
+    """Vertex -> index of its component in net minus the edge ids
+    `removed`, read off `adj` (net's `adjacency()`) when given one."""
+    return {v: i for i, comp in enumerate(components(net, removed, adj=adj))
             for v in comp}
 
 
 def is_multiway_cut(net: TerminalNetwork, part: Partition,
-                    X: Iterable[int]) -> bool:
-    comp_of = _component_of(net, X)
+                    X: Iterable[int], adj: Adjacency | None = None) -> bool:
+    comp_of = _component_of(net, X, adj)
     block_in: dict[int, int] = {}  # component -> the one block it meets
     for i, block in enumerate(part.blocks):
         for t in block:
@@ -156,8 +178,8 @@ def is_multiway_cut(net: TerminalNetwork, part: Partition,
 
 
 def is_multicut(net: TerminalNetwork, requests: CutRequests,
-                X: Iterable[int]) -> bool:
-    comp_of = _component_of(net, X)
+                X: Iterable[int], adj: Adjacency | None = None) -> bool:
+    comp_of = _component_of(net, X, adj)
     return all(comp_of[u] != comp_of[v] for u, v in requests.pairs)
 
 
@@ -209,13 +231,16 @@ class _SearchIndex:
     lists of (edge bit, neighbour position), and per group pair a memo of
     `_violating_path` results keyed by the edge mask. The path a BFS finds
     depends only on the network, the mask and the ordered group pair, so
-    any search may reuse an entry another search stored.
+    any search may reuse an entry another search stored. It also holds the
+    network's plain `adjacency()`, which the witness checks read, so they
+    stay independent of the search's bit masks.
     """
 
-    __slots__ = ("net", "pos", "adj", "paths", "distinct")
+    __slots__ = ("net", "incident", "pos", "adj", "paths", "distinct")
 
     def __init__(self, net: TerminalNetwork) -> None:
         self.net = net
+        self.incident = net.adjacency()
         self.pos = {v: i for i, v in enumerate(net.vertices)}
         self.adj: list[list[tuple[int, int]]] = [[] for _ in net.vertices]
         for i, (_, u, v) in enumerate(net.edges):
@@ -339,7 +364,8 @@ def min_multiway_cut(net: TerminalNetwork, part: Partition, *,
         pair_list = [(i, j) for i in range(len(blocks))
                      for j in range(i + 1, len(blocks))]
         value, witness = _solve_separation(net, blocks, pair_list, index)
-    if not is_multiway_cut(net, part, witness):
+    if not is_multiway_cut(net, part, witness,
+                           index.incident if index is not None else None):
         raise InternalError(
             f"witness {witness} of value {value} is not a multiway cut "
             f"for {part.to_text()}")
@@ -366,7 +392,8 @@ def min_multicut(net: TerminalNetwork, requests: CutRequests, *,
     pair_list = [(group_of[u], group_of[v]) for u, v in pairs]
     value, witness = _solve_separation(net, [(v,) for v in ends], pair_list,
                                        index)
-    if not is_multicut(net, requests, witness):
+    if not is_multicut(net, requests, witness,
+                       index.incident if index is not None else None):
         raise InternalError(
             f"witness {witness} of value {value} is not a multicut "
             f"for {len(pairs)} requests")

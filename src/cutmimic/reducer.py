@@ -3,9 +3,11 @@
 Each pass first applies the local degree-based rules, then stops at the size
 threshold, and otherwise asks the expansion tester for a direction: a sparse
 set opens a recursive instance whose own covering set exposes a contractible
-edge; a dense verdict hands the graph to the matroid marker and contracts the
-lowest unmarked edge. Every structural change lands in an event trace whose
-replay reproduces the output.
+edge. A dense verdict first contracts every edge whose ends are more than
+k-connected (`_overconnected`, by unit flows capped at k + 1 paths); only
+when there is none does it hand the graph to the matroid marker and contract
+the lowest unmarked edge. Every structural change lands in an event trace
+whose replay reproduces the output.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Union
 
-from .errors import InputError, MarkingRefusedError
+from .errors import InputError, InternalError, MarkingRefusedError
 from .marker import MarkParams, default_c, mark
 from .netgraph import (
     Contract,
@@ -27,6 +29,7 @@ from .netgraph import (
     recursive_instance,
     terminal_capacity,
 )
+from .oracles import unit_flow
 from .tester import (
     DEFAULT_EXACT_CEILING,
     TesterVerdict,
@@ -149,7 +152,14 @@ def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
                 events.append(Recurse(verdict.witness, depth + 1))
                 sub_final = _reduce(sub, params, mark_base, rng, depth + 1)[0]
                 candidates = set(sub.edge_ids()) - set(sub_final.edge_ids())
-        else:  # dense: the unmarked edges
+        else:  # dense: the over-connected edges, else the unmarked ones
+            over = _overconnected(work, terminal_capacity(work))
+            for eid in over:
+                if eid in work.edge_ids():  # else a loop of earlier ones
+                    work = contract_edge(work, eid)
+                    events.append(Contract(eid))
+            if over:
+                continue
             call_params = replace(mark_base, seed=rng.randrange(1 << 62))
             try:
                 result = mark(work, call_params)
@@ -164,6 +174,32 @@ def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
             return work, events
         work = contract_edge(work, eid)
         events.append(Contract(eid))
+
+
+def _overconnected(net: TerminalNetwork, k: int) -> list[int]:
+    """Ids, ascending, of the edges uv with lambda(u, v) > k, where k is
+    cap(T): both ends have degree > k and a unit flow capped at k + 1
+    paths finds k + 1.
+
+    Sound to contract all of them: every partition's minimum multiway cut
+    (and every multicut) has at most cap(T) edges, and a minimal cut
+    holding uv separates u from v, so it would have at least lambda(u, v)
+    edges. No terminal-incident edge qualifies, since lambda(t, x) <=
+    deg(t) <= k, so contracting them keeps cap(T); and contraction never
+    lowers a lambda, so the edges found on one network stay contractible
+    while the others are contracted (an edge whose ends have merged is a
+    loop, already gone).
+    """
+    incident = net.adjacency()
+    over = [eid for eid, u, v in net.edges
+            if len(incident[u]) > k and len(incident[v]) > k
+            and unit_flow(incident, {u}, {v}, k + 1)[0] > k]
+    tset = set(net.terminals)
+    for eid in over:
+        if tset.intersection(net.endpoints(eid)):
+            raise InternalError(
+                f"edge {eid} has a terminal end but is over {k}-connected")
+    return over
 
 
 def _contractible(net: TerminalNetwork, candidates: set[int]) -> int | None:

@@ -6,11 +6,29 @@ seed; nothing here reads global random state.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from cutmimic.netgraph import TerminalNetwork
+
+
+def bench_workloads():
+    """perfbench/workloads.py as a module, for its seeded generators
+    (`gen_corpus_small`, `gen_dense_k2`, ...)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def random_connected_network(rng: random.Random, n_lo: int = 3, n_hi: int = 10,

@@ -31,3 +31,12 @@ def test_cli_outputs_match_recording(tmp_path, capsys):
         for fname in written:
             got = (tmp_path / fname).read_bytes()
             assert got == (EXPECTED / fname).read_bytes(), (name, fname)
+
+
+def test_recorded_reduction_of_fix10_mimics_its_input(capsys):
+    # the connectivity rule contracts fix10's clique down to one edge; the
+    # recorded output must still mimic its input
+    fixtures = EXPECTED.parent
+    rc = cli(["verify", str(fixtures / "fix10.net"),
+              str(EXPECTED / "case10.stdout")])
+    assert (rc, capsys.readouterr().out) == (0, "EQUAL\n")

@@ -3,12 +3,9 @@ bounds, the covering condition on deletion components, and soundness of the
 marked set against brute-force essential edges on density-confirmed inputs.
 """
 
-import importlib.util
 import random
-import sys
 from dataclasses import replace
 from math import prod
-from pathlib import Path
 
 import pytest
 
@@ -39,7 +36,12 @@ from cutmimic.oracles import (
 )
 from cutmimic.tester import exact_tester
 
-from conftest import path_network, random_connected_network, triangle
+from conftest import (
+    bench_workloads,
+    path_network,
+    random_connected_network,
+    triangle,
+)
 from reference import (
     covering_condition_holds,
     delete_edges,
@@ -201,23 +203,10 @@ def test_mark_refuses_before_building(monkeypatch):
         "tensor dimension 5184 exceeds limit 2048; lower c or i0"
 
 
-def _bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their defining module up in sys.modules
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def test_layer_rows_match_built_layers(monkeypatch):
     # every layer is built, so the refused calls are compared too
     monkeypatch.setattr(marker, "TENSOR_LIMIT", float("inf"))
-    bench = _bench_workloads()
+    bench = bench_workloads()
     nets = ([bench.gen_corpus_small(seed) for seed in range(200)]
             + [bench.gen_dense_k2(seed) for seed in range(20)])
     knobs = (MarkParams(c=2, i0=2), MarkParams(c=3, i0=2),

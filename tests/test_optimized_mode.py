@@ -15,6 +15,8 @@ INTERNAL_ERROR_TESTS = (
     "tests/test_netgraph.py::test_degree2_index_drift_raises_internal_error",
     "tests/test_netgraph.py::test_edit_of_an_unedited_edge_raises_internal_error",
     "tests/test_oracles.py::test_multiway_bad_witness_raises_internal_error",
+    "tests/test_reducer.py::"
+    "test_overconnected_edge_with_terminal_end_raises_internal_error",
 )
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cutmimic import reducer
-from cutmimic.errors import InputError
+from cutmimic.errors import InputError, InternalError
 from cutmimic.marker import MarkParams
 from cutmimic.netgraph import (
     format_network,
@@ -20,8 +20,14 @@ from cutmimic.netgraph import (
     TerminalNetwork,
     apply_local_event,
     t_capacity,
+    terminal_capacity,
 )
-from cutmimic.oracles import cut_value_table, verify_mimicking
+from cutmimic.oracles import (
+    cut_value_table,
+    min_cut_side,
+    unit_flow,
+    verify_mimicking,
+)
 from cutmimic.reducer import (
     MarkStats,
     Recurse,
@@ -35,6 +41,7 @@ from cutmimic.reducer import (
 )
 
 from conftest import (
+    bench_workloads,
     connected_terminal_networks,
     path_network,
     random_connected_network,
@@ -57,6 +64,27 @@ def pendant_blob():
         edges.append((eid, u, v))
         eid += 1
     return TerminalNetwork.build(verts, edges, (1, 2))
+
+
+def doubled_path(length=6):
+    """A path of `length` doubled edges between two pendant terminals.
+
+    k = 2 and every core edge has lambda = 2, so no edge is over
+    k-connected; no vertex has degree 2 and no vertex set is sparse at
+    c = 6, so a dense verdict reaches the marker. The only minimum cuts are
+    the two pendant edges, so contracting a core edge keeps every value.
+    """
+    edges = [(1, 1, 3)]
+    for i in range(length):
+        edges += [(2 * i + 2, 3 + i, 4 + i), (2 * i + 3, 3 + i, 4 + i)]
+    edges.append((2 * length + 2, 2, 3 + length))
+    return TerminalNetwork.build(range(1, length + 4), edges, (1, 2))
+
+
+def assert_marks_before_contracting(trace):
+    kinds = [type(ev) for ev in trace.events]
+    assert MarkStats in kinds and Contract in kinds
+    assert Contract not in kinds[:kinds.index(MarkStats)]
 
 
 def blob_with_tail():
@@ -153,12 +181,11 @@ def test_subdivided_and_raw_inputs_agree():
 
 
 def test_dense_branch_marks_and_contracts():
-    net = pendant_blob()
+    net = doubled_path()
     params = ReduceParams(
         mark=MarkParams(c=6, i0=2, graphic_rank_cap=2), threshold=10)
     out, trace = mimicking_network(net, params)
-    kinds = [type(ev) for ev in trace.events]
-    assert MarkStats in kinds and Contract in kinds
+    assert_marks_before_contracting(trace)
     assert trace.events[-1] == Stop("base")
     assert out.m <= 10
     assert verify_mimicking(net, out).ok
@@ -177,6 +204,59 @@ def test_dense_branch_saturates_when_marking_refuses():
     Z, trace = multicut_covering_set(net, ReduceParams(threshold=5))
     assert Z == (1, 2, 3, 4, 5, 6)
     assert trace.events[-1] == Stop("saturated")
+
+
+# connectivity contraction
+
+
+def rule_corpus():
+    """(network, mark params) for `reduce --threshold 2` on corpus-small
+    seeds 0-99 (default marking) and dense-k2 seeds 0-9 (c = 6, i0 = 2)."""
+    bench = bench_workloads()
+    return ([(bench.gen_corpus_small(s), MarkParams()) for s in range(100)]
+            + [(bench.gen_dense_k2(s), MarkParams(c=6, i0=2))
+               for s in range(10)])
+
+
+def test_capped_flow_is_min_of_max_flow_and_cap():
+    for net, _ in rule_corpus():
+        k = terminal_capacity(net)
+        incident = net.adjacency()
+        for _, u, v in net.edges:
+            capped = unit_flow(incident, {u}, {v}, k + 1)[0]
+            assert capped == min(min_cut_side(net, [u], [v])[0], k + 1)
+
+
+def test_connectivity_contraction_keeps_tables_and_replays():
+    dense_edges_out = 0
+    for net, mark in rule_corpus():
+        out, trace = mimicking_network(
+            net, ReduceParams(threshold=2, mark=mark))
+        assert cut_value_table(out) == cut_value_table(net)
+        assert format_network(replay_trace(net, trace)) == format_network(out)
+        if mark.c == 6:
+            assert not any(isinstance(ev, MarkStats) for ev in trace.events)
+            dense_edges_out += out.m
+        if trace.events[-1] == Stop("saturated"):
+            # no over-connected edge is left where the loop gave up
+            k = terminal_capacity(out)
+            tset = set(out.terminals)
+            for _, u, v in out.edges:
+                if u not in tset and v not in tset:
+                    assert min_cut_side(out, [u], [v])[0] <= k, (u, v)
+    # without marking, every dense-k2 network ends at one edge
+    assert dense_edges_out == 10
+
+
+def test_overconnected_edge_with_terminal_end_raises_internal_error():
+    # below cap(T), the degree filter no longer keeps terminal edges out
+    with pytest.raises(InternalError, match="has a terminal end"):
+        reducer._overconnected(triangle(), 0)
+
+
+def test_overconnected_edges_of_a_blob_are_its_clique_edges():
+    net = pendant_blob()
+    assert reducer._overconnected(net, 2) == list(range(3, 18))
 
 
 # sparse branch
@@ -214,11 +294,12 @@ def test_params_validation():
 
 
 def test_heuristic_mode_runs_the_same_pipeline():
-    net = pendant_blob()
+    net = doubled_path()
     params = ReduceParams(
         tester="heuristic",
         mark=MarkParams(c=6, i0=2, graphic_rank_cap=2), threshold=10)
     out, trace = mimicking_network(net, params)
+    assert_marks_before_contracting(trace)
     assert out.m <= 10
     assert verify_mimicking(net, out).ok
 

@@ -146,6 +146,8 @@ def kernelize_multicut(inst: MulticutInstance, params: ReduceParams
     primed terminal set. Requests transfer to the primed terminals; the
     budget is unchanged (cut values are preserved exactly).
     """
+    if not inst.requests:
+        return inst  # nothing to disconnect: already solved positively
     gadget, primed_requests = multicut_gadget(inst)
     reduced, _ = mimicking_network(gadget, params)
     return MulticutInstance(reduced, primed_requests, inst.budget)

@@ -8,21 +8,22 @@ original edge-id space. Self-loops are discarded at creation, including the
 ones produced by contraction.
 
 All operations are value-semantic: they return new networks and never mutate
-their inputs. components(net, removed) is the one connectivity traversal,
-boundary the one cut read-off, and apply_local_event the one place a
-replayed local event is checked and applied. Every contracted or pruned
-network is built by one edit, _edited, which is handed the ids of the
-edges it touches. It finds each by bisection in the parent's id-sorted
-edge tuple, rewrites or drops it, and copies the untouched runs between
-them as slices; the dropped vertices are sliced out of the sorted vertex
-tuple the same way. It skips build's checks: they cannot fail on a network
-derived from a valid one, so build validates only outside data. A network
-carries no cached index: inputs often stay alive for a whole run, and a
-cached adjacency raised the peak RSS of the sparse-chains benchmark from
-30 MB to 44 MB. A caller without an index finds the touched edges in one
-pass (_incident). degree2_reduce keeps its own index for the length of
-one call: it finds each next event from that index, hands each edit the
-edges the index names, and checks the index against the network it
+their inputs. component_labels(net, removed), one union-find pass over the
+edge tuple, is the one connectivity routine: components groups its labels,
+and the witness checks read them directly. boundary is the one cut read-off,
+and apply_local_event the one place a replayed local event is checked and
+applied. Every contracted or pruned network is built by one edit, _edited,
+which is handed the ids of the edges it touches. It finds each by bisection
+in the parent's id-sorted edge tuple, rewrites or drops it, and copies the
+untouched runs between them as slices; the dropped vertices are sliced out
+of the sorted vertex tuple the same way. It skips build's checks: they
+cannot fail on a network derived from a valid one, so build validates only
+outside data. A network carries no cached index: inputs often stay alive for
+a whole run, and a cached adjacency raised the peak RSS of the sparse-chains
+benchmark from 30 MB to 44 MB. A caller without an index finds the touched
+edges in one pass (_incident). degree2_reduce keeps its own index for the
+length of one call: it finds each next event from that index, hands each
+edit the edges the index names, and checks the index against the network it
 returns.
 
 Text format (one network per file):
@@ -169,33 +170,45 @@ def neighborhood(net: TerminalNetwork, S: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def components(net: TerminalNetwork, removed: Iterable[int] = (), *,
-               adj: Mapping[int, Iterable[tuple[int, int]]] | None = None
-               ) -> tuple[tuple[int, ...], ...]:
-    """Connected components of net minus the edge ids in `removed`, as
-    sorted vertex tuples ordered by min vertex. `adj` is net's
-    `adjacency()`, built here when not given.
+def component_labels(net: TerminalNetwork, removed: Iterable[int] = ()
+                     ) -> dict[int, int]:
+    """Vertex -> least vertex of its connected component in net minus the
+    edge ids in `removed`. One union-find pass over the edges with path
+    halving; of two roots the larger goes under the smaller, so each root
+    is its component's least vertex and the new vertices of a chain join
+    the tree they grow from.
     """
     drop = set(removed)
-    if adj is None:
-        adj = net.adjacency()
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for start in net.vertices:  # ascending, so each start is its comp's min
-        if start in seen:
+    parent = {v: v for v in net.vertices}
+    for eid, u, v in net.edges:
+        if eid in drop:
             continue
-        queue = [start]
-        seen.add(start)
-        comp = []
-        while queue:
-            v = queue.pop()
-            comp.append(v)
-            for eid, w in adj[v]:
-                if w not in seen and eid not in drop:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    for v in net.vertices:
+        root = parent[v]
+        while parent[root] != root:
+            root = parent[root]
+        parent[v] = root
+    return parent
+
+
+def components(net: TerminalNetwork, removed: Iterable[int] = ()
+               ) -> tuple[tuple[int, ...], ...]:
+    """Connected components of net minus the edge ids in `removed`, as
+    sorted vertex tuples ordered by least vertex: `component_labels`
+    grouped in ascending vertex order, so nothing is sorted.
+    """
+    groups: dict[int, list[int]] = {}
+    for v, root in component_labels(net, removed).items():
+        groups.setdefault(root, []).append(v)
+    return tuple(map(tuple, groups.values()))
 
 
 def recursive_instance(net: TerminalNetwork, S: Iterable[int]

@@ -4,10 +4,12 @@ Flow-based routes (bipartitions, single requests, closest cuts) are exact at
 any size this package handles; partition counts and branch-and-bound searches
 are guarded by explicit ceilings and refuse rather than grind. Every flow
 runs in one augmenting loop, `unit_flow`: `min_cut_side` runs it to the
-end, and the reducer's connectivity rule stops it after k + 1 paths. Every
-cut read off a flow comes from `closest_min_cut` (which checks its size
-against the flow value), and every component test reads one vertex ->
-component map, `_component_of`.
+end, the reducer's connectivity rule stops it after k + 1 paths and the
+exact tester's certificate after kappa_0. Every cut read off a flow comes
+from `closest_min_cut` (which checks its size against the flow value), and
+every component test (`is_multiway_cut`, `is_multicut`) reads the vertex ->
+component labelling `netgraph.component_labels` makes in one union-find
+pass over the edges, never the search's bit masks.
 
 Essentiality is decided by re-solving with the edge made undeletable
 (contracted) and comparing values, never by enumerating witnesses; only
@@ -26,10 +28,6 @@ Work done once per top-level call, with nothing kept between calls:
   (`min_multiway_cut` and `min_multicut` take it as `index=`); a lone
   search, such as one on a network `essential_edges` contracted, builds
   its own. It is dropped when the call returns;
-- the index also keeps the network's plain `adjacency()`, built once, and
-  the witness checks (`is_multiway_cut`, `is_multicut`) of a solver
-  handed an index read their components off it, never the search's bit
-  masks; without an index a check builds its own;
 - within one search, each edge set's shortest violating path is chosen
   once: one memo serves every deepening round, and a request pair found
   separated stays skipped for the set's supersets;
@@ -53,7 +51,7 @@ from .netgraph import (
     TerminalNetwork,
     all_partitions,
     boundary,
-    components,
+    component_labels,
     contract_edge,
 )
 
@@ -158,17 +156,9 @@ def _check_partition(net: TerminalNetwork, part: Partition) -> None:
         raise InputError("partition must cover exactly the terminal set")
 
 
-def _component_of(net: TerminalNetwork, removed: Iterable[int],
-                  adj: Adjacency | None) -> dict[int, int]:
-    """Vertex -> index of its component in net minus the edge ids
-    `removed`, read off `adj` (net's `adjacency()`) when given one."""
-    return {v: i for i, comp in enumerate(components(net, removed, adj=adj))
-            for v in comp}
-
-
 def is_multiway_cut(net: TerminalNetwork, part: Partition,
-                    X: Iterable[int], adj: Adjacency | None = None) -> bool:
-    comp_of = _component_of(net, X, adj)
+                    X: Iterable[int]) -> bool:
+    comp_of = component_labels(net, X)
     block_in: dict[int, int] = {}  # component -> the one block it meets
     for i, block in enumerate(part.blocks):
         for t in block:
@@ -178,8 +168,8 @@ def is_multiway_cut(net: TerminalNetwork, part: Partition,
 
 
 def is_multicut(net: TerminalNetwork, requests: CutRequests,
-                X: Iterable[int], adj: Adjacency | None = None) -> bool:
-    comp_of = _component_of(net, X, adj)
+                X: Iterable[int]) -> bool:
+    comp_of = component_labels(net, X)
     return all(comp_of[u] != comp_of[v] for u, v in requests.pairs)
 
 
@@ -231,16 +221,13 @@ class _SearchIndex:
     lists of (edge bit, neighbour position), and per group pair a memo of
     `_violating_path` results keyed by the edge mask. The path a BFS finds
     depends only on the network, the mask and the ordered group pair, so
-    any search may reuse an entry another search stored. It also holds the
-    network's plain `adjacency()`, which the witness checks read, so they
-    stay independent of the search's bit masks.
+    any search may reuse an entry another search stored.
     """
 
-    __slots__ = ("net", "incident", "pos", "adj", "paths", "distinct")
+    __slots__ = ("net", "pos", "adj", "paths", "distinct")
 
     def __init__(self, net: TerminalNetwork) -> None:
         self.net = net
-        self.incident = net.adjacency()
         self.pos = {v: i for i, v in enumerate(net.vertices)}
         self.adj: list[list[tuple[int, int]]] = [[] for _ in net.vertices]
         for i, (_, u, v) in enumerate(net.edges):
@@ -364,8 +351,7 @@ def min_multiway_cut(net: TerminalNetwork, part: Partition, *,
         pair_list = [(i, j) for i in range(len(blocks))
                      for j in range(i + 1, len(blocks))]
         value, witness = _solve_separation(net, blocks, pair_list, index)
-    if not is_multiway_cut(net, part, witness,
-                           index.incident if index is not None else None):
+    if not is_multiway_cut(net, part, witness):
         raise InternalError(
             f"witness {witness} of value {value} is not a multiway cut "
             f"for {part.to_text()}")
@@ -392,8 +378,7 @@ def min_multicut(net: TerminalNetwork, requests: CutRequests, *,
     pair_list = [(group_of[u], group_of[v]) for u, v in pairs]
     value, witness = _solve_separation(net, [(v,) for v in ends], pair_list,
                                        index)
-    if not is_multicut(net, requests, witness,
-                       index.incident if index is not None else None):
+    if not is_multicut(net, requests, witness):
         raise InternalError(
             f"witness {witness} of value {value} is not a multicut "
             f"for {len(pairs)} requests")

@@ -3,10 +3,12 @@
 A verdict is either a concrete sparse vertex set, whose defining inequality
 cap_T(S)^c < |S| is re-checked on construction in exact integer arithmetic,
 or Dense. The exact tester earns its Dense verdicts by a min-cut certificate
-or by exhaustion: kappa = min over nonempty S of cap_T(S) is one global min
-cut, and kappa^c >= floor(n/2) rules out every candidate before the 2^n
-walk starts. The heuristic tester's Dense verdicts carry no guarantee and
-say so.
+or by exhaustion. kappa = min over nonempty S of cap_T(S) is the least
+number of edge-disjoint paths from a vertex to a sink joined to each
+terminal t by deg(t) edges, so unit flows capped at kappa_0, the least
+kappa with kappa^c >= floor(n/2), decide whether kappa^c >= floor(n/2); when
+it holds, every candidate is ruled out before the 2^n walk starts. The
+heuristic tester's Dense verdicts carry no guarantee and say so.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, RefusedError
 from .netgraph import TerminalNetwork, neighborhood, t_capacity
+from .oracles import unit_flow
 
 DEFAULT_EXACT_CEILING = 20
 
@@ -73,44 +76,33 @@ def validate_ceiling(ceiling: int) -> None:
         raise InputError(f"exact tester ceiling must be >= 0, got {ceiling}")
 
 
-def _sink_min_cut(nbrs: list[dict[int, int]], deg: list[int],
-                  tflag: list[bool]) -> int:
-    """kappa = min over nonempty S of cap_T(S), for the multigraph whose
-    vertex i has neighbour multiplicities nbrs[i], degree deg[i] and
-    terminal flag tflag[i].
+def _certified_dense(net: TerminalNetwork, c: int) -> bool:
+    """Whether kappa^c >= floor(n/2), for kappa = min over nonempty S of
+    cap_T(S) and n >= 2.
 
     cap_T(S) is the cut of S in the network plus a sink joined to each
-    terminal t by deg(t) parallel edges, and every nonempty proper vertex
-    set of that graph has a side without the sink, so kappa is its global
-    min cut (Stoer & Wagner, "A simple min-cut algorithm", JACM 1997).
+    terminal t by deg(t) parallel edges, so kappa is the least
+    lambda(sink, v) over the vertices v. With kappa_0 the least kappa with
+    kappa^c >= floor(n/2), the bound holds iff every `unit_flow` from the
+    sink to a vertex, capped at kappa_0, finds kappa_0 paths. Each search
+    starts at the sink and stops on reaching v; one started at v would
+    explore most of the network before it met a terminal. The sink's
+    edges take the ids 0, -1, ..., which no network edge has.
     """
-    n = len(nbrs)
-    adj = [dict(nb) for nb in nbrs] + [{}]
-    for i in range(n):
-        if tflag[i]:
-            adj[i][n] = adj[n][i] = deg[i]
-    alive = list(range(n + 1))
-    best = sum(deg[i] for i in range(n) if tflag[i])  # S = V
-    while len(alive) > 1 and best:
-        # One phase: add vertices in maximum-adjacency order. The last one,
-        # t, against all the rest is a min cut between t and its predecessor
-        # s; merging t into s keeps every other cut.
-        key = dict.fromkeys(alive, 0)
-        s = t = alive[0]
-        while key:
-            s, t = t, max(key, key=key.__getitem__)
-            del key[t]
-            for j, w in adj[t].items():
-                if j in key:
-                    key[j] += w
-        best = min(best, sum(adj[t].values()))
-        for j, w in adj[t].items():
-            del adj[j][t]
-            if j != s:
-                adj[s][j] = adj[j][s] = adj[s].get(j, 0) + w
-        adj[t] = {}
-        alive.remove(t)
-    return best
+    kappa0 = 1
+    while kappa0 ** c < net.n // 2:
+        kappa0 += 1
+    incident = net.adjacency()
+    sink = net.fresh_vertex_id()
+    incident[sink] = []
+    eid = 0
+    for t in net.terminals:
+        for _ in range(len(incident[t])):
+            incident[t].append((eid, sink))
+            incident[sink].append((eid, t))
+            eid -= 1
+    return all(unit_flow(incident, {sink}, {v}, kappa0)[0] == kappa0
+               for v in net.vertices)
 
 
 def exact_tester(net: TerminalNetwork, c: int,
@@ -131,7 +123,7 @@ def exact_tester(net: TerminalNetwork, c: int,
     if n > ceiling:
         raise RefusedError(
             f"exact tester is exhaustive; {n} vertices exceeds ceiling {ceiling}")
-    if n <= 1:
+    if n <= 1 or _certified_dense(net, c):
         return TesterVerdict("dense")
     verts = net.vertices
     vidx = {v: i for i, v in enumerate(verts)}
@@ -146,8 +138,6 @@ def exact_tester(net: TerminalNetwork, c: int,
         closed[ui] |= 1 << vi
         closed[vi] |= 1 << ui
     deg = [sum(nb.values()) for nb in nbrs]
-    if _sink_min_cut(nbrs, deg, tflag) ** c >= n // 2:
-        return TesterVerdict("dense")
     best = _gray_code_walk(verts, c, nbrs, deg, tflag, closed)
     if best is None or best[0] >= 0:
         return TesterVerdict("dense")

@@ -86,7 +86,7 @@ def test_keep_counters_read_nonzero_on_cli_runs(tracer, tmp_path):
                  # perfbench/selftest.py needs this span on sparse-chains, so
                  # Contract events must keep passing through contract_edge
                  "netgraph.contract_edge.calls",
-                 # every flow, verify's two-block partitions included, runs
-                 # through the one traced flow routine
+                 # verify's two-block partitions reach min_cut_side, the
+                 # traced entry to the flow routine
                  "oracles.min_cut_side.calls"):
         assert metrics[name] > 0, name

@@ -569,6 +569,23 @@ def test_cli_kernelize_multicut_emits_primed_requests(tmp_path, capsys):
     assert {a, b} <= set(kernel.terminals)
 
 
+def test_cli_kernelize_multicut_without_requests_is_solved(tmp_path,
+                                                         capsys):
+    """No request is a YES-instance as it stands: the network comes back
+    unchanged with no requests, as `oracle mc` answers 0 for it."""
+    net = TerminalNetwork.build([1, 2, 3], [(1, 1, 2), (2, 2, 3)], [1])
+    g = write_net(tmp_path, "a.net", net)
+    req = tmp_path / "empty.req"
+    req.write_text("", encoding="utf-8")
+    assert cli(["oracle", "mc", g, "--requests", str(req)]) == 0
+    assert capsys.readouterr().out.split() == ["0"]
+    rout = tmp_path / "req_out.txt"
+    assert cli(["kernelize", "multicut", g, "--budget", "1",
+                "--requests", str(req), "--requests-out", str(rout)]) == 0
+    assert capsys.readouterr().out == format_network(net)
+    assert rout.read_text(encoding="utf-8") == ""
+
+
 def test_cli_internal_failure_exits_four(tmp_path, capsys, monkeypatch):
     def broken(args):
         raise AssertionError("survivors 9 > bound 4")

@@ -19,6 +19,8 @@ from cutmimic.netgraph import (
     Partition,
     TerminalNetwork,
     all_partitions,
+    component_labels,
+    components,
     contract_edge,
 )
 from cutmimic.oracles import (
@@ -785,3 +787,57 @@ def test_is_multicut_basic():
     req = CutRequests.of((0, 2), [(0, 2)])
     assert is_multicut(net, req, (1,))
     assert not is_multicut(net, req, ())
+
+
+def component_test_network(rng, k):
+    """Every fourth draw is a long chain, its edge ids running along it or
+    against it and its ends in either order; the rest are multigraphs on
+    vertex ids with gaps, with isolated vertices and parallel edges."""
+    if k % 4 == 0:
+        verts = rng.sample(range(1, 400), rng.randint(40, 80))
+        links = list(zip(verts, verts[1:]))
+        if k % 8:
+            links.reverse()
+        edges = [(eid, *(uv if rng.random() < 0.5 else uv[::-1]))
+                 for eid, uv in enumerate(links, 1)]
+    else:
+        verts = rng.sample(range(1, 60), rng.randint(1, 14))
+        core = verts[:rng.randint(1, len(verts))]  # the rest stay isolated
+        edges = []
+        for eid in range(1, rng.randint(0, 2 * len(core)) + 1):
+            if edges and rng.random() < 0.3:
+                edges.append((eid, *edges[-1][1:]))  # a parallel copy
+            else:
+                edges.append((eid, rng.choice(core), rng.choice(core)))
+    terms = rng.sample(verts, min(len(verts), rng.randint(2, 5)))
+    return TerminalNetwork.build(verts, edges, terms)
+
+
+def test_component_routines_match_naive_components():
+    rng = random.Random(30)
+    for k in range(400):
+        net = component_test_network(rng, k)
+        ids = net.edge_ids()
+        removed = rng.sample(ids, rng.randint(0, len(ids)))
+        top = max(ids, default=0)
+        removed += rng.sample(range(top + 1, top + 9), 2)  # absent ids
+        naive = naive_components(net, set(removed))
+        assert components(net, removed) == tuple(
+            tuple(sorted(comp)) for comp in naive), (net, removed)
+        labels = component_labels(net, removed)
+        assert labels == {v: min(comp) for comp in naive for v in comp}
+        terms = net.terminals
+        if len(terms) < 2:
+            continue
+        blocks = {}
+        for t in terms:
+            blocks.setdefault(rng.randrange(len(terms)), []).append(t)
+        part = Partition.of(terms, blocks.values())
+        assert is_multiway_cut(net, part, removed) == naive_separates(
+            net, part, set(removed)), (net, part, removed)
+        pairs = list(itertools.combinations(terms, 2))
+        pairs = rng.sample(pairs, min(len(pairs), rng.randint(1, 3)))
+        req = CutRequests.of(terms, pairs)
+        comp_of = {v: i for i, comp in enumerate(naive) for v in comp}
+        assert is_multicut(net, req, removed) == all(
+            comp_of[u] != comp_of[v] for u, v in req.pairs)

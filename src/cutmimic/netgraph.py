@@ -104,6 +104,9 @@ class TerminalNetwork:
         _, u, v = self.edges[i]
         return (u, v)
 
+    def has_edge(self, eid: int) -> bool:
+        return _edge_position(self.edges, eid) is not None
+
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> list of (edge id, other endpoint), edge-id order."""
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}

@@ -1,13 +1,13 @@
 """The reduction loop: covering sets and mimicking networks.
 
-Each pass first applies the local degree-based rules, then stops at the size
-threshold, and otherwise asks the expansion tester for a direction: a sparse
-set opens a recursive instance whose own covering set exposes a contractible
-edge. A dense verdict first contracts every edge whose ends are more than
-k-connected (`_overconnected`, by unit flows capped at k + 1 paths); only
-when there is none does it hand the graph to the matroid marker and contract
-the lowest unmarked edge. Every structural change lands in an event trace
-whose replay reproduces the output.
+Each pass applies the local degree-2 rules, stops at the size threshold, and
+otherwise contracts the edges that one step names. The step asks the
+expansion tester for a direction. A sparse set opens a recursive instance,
+and the step names the lowest edge that instance's reduction drops. A dense
+verdict names every edge whose ends are more than k-connected
+(`_overconnected`), else the lowest edge the matroid marker leaves unmarked.
+A step that names nothing saturates the loop. Every structural change lands
+in an event trace whose replay reproduces the output.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ class Stop:
     """Trace event: the loop ended; reason is "base" or "saturated"."""
     reason: str
 
+    def __post_init__(self) -> None:
+        if self.reason not in ("base", "saturated"):
+            raise InputError(f"unknown stop reason {self.reason!r}")
+
 
 Event = Union[Contract, DeleteLeaf, DeleteComponent, Recurse, MarkStats, Stop]
 
@@ -70,8 +74,9 @@ class ReductionTrace:
     events: tuple[Event, ...]
 
     def __post_init__(self) -> None:
-        if not self.events or not isinstance(self.events[-1], Stop):
-            raise InputError("a trace must end with a Stop event")
+        stops = [i for i, ev in enumerate(self.events) if isinstance(ev, Stop)]
+        if stops != [len(self.events) - 1]:
+            raise InputError("a trace must end with its only Stop event")
 
 
 @dataclass(frozen=True)
@@ -125,55 +130,59 @@ def mimicking_network(net: TerminalNetwork, params: ReduceParams
 def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
             rng: random.Random, depth: int
             ) -> tuple[TerminalNetwork, list[Event]]:
-    c = mark_base.c  # fixed by mimicking_network
-    k = terminal_capacity(net)
     if params.threshold is not None and depth == 0:
         threshold = params.threshold
-    else:
-        threshold = max(k, 1) ** c
+    else:  # c is fixed by mimicking_network
+        threshold = max(terminal_capacity(net), 1) ** mark_base.c
 
     events: list[Event] = []
-    work = net
     while True:
-        work, local = degree2_reduce(work)
+        net, local = degree2_reduce(net)
         events.extend(local)
-        if work.m <= threshold:
+        if net.m <= threshold:
             events.append(Stop("base"))
-            return work, events
-
-        # Each branch yields the edges it may contract: the depth limit, a
-        # marking refusal (every edge marked) and an empty set all saturate.
-        candidates: set[int] = set()
-        verdict = run_tester(work, c, params)
-        if verdict.is_sparse:
-            assert verdict.witness is not None
-            if depth < MAX_DEPTH:
-                sub = recursive_instance(work, verdict.witness)
-                events.append(Recurse(verdict.witness, depth + 1))
-                sub_final = _reduce(sub, params, mark_base, rng, depth + 1)[0]
-                candidates = set(sub.edge_ids()) - set(sub_final.edge_ids())
-        else:  # dense: the over-connected edges, else the unmarked ones
-            over = _overconnected(work, terminal_capacity(work))
-            for eid in over:
-                if eid in work.edge_ids():  # else a loop of earlier ones
-                    work = contract_edge(work, eid)
-                    events.append(Contract(eid))
-            if over:
-                continue
-            call_params = replace(mark_base, seed=rng.randrange(1 << 62))
-            try:
-                result = mark(work, call_params)
-            except MarkingRefusedError:
-                pass
-            else:
-                events.append(MarkStats(len(result.marked), c, call_params.i0))
-                candidates = set(work.edge_ids()) - set(result.marked)
-        eid = _contractible(work, candidates)
-        if eid is None:
+            return net, events
+        ids = _step(net, params, mark_base, rng, depth, events)
+        if not ids:
             events.append(Stop("saturated"))
-            return work, events
-        work = contract_edge(work, eid)
-        events.append(Contract(eid))
+            return net, events
+        for eid in ids:
+            if net.has_edge(eid):  # else a loop of earlier ones
+                net = contract_edge(net, eid)
+                events.append(Contract(eid))
+
+
+def _step(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
+          rng: random.Random, depth: int, events: list[Event]) -> list[int]:
+    """Ids of the edges the next pass contracts, in order; empty when the
+    loop saturates. The Recurse or MarkStats event that chose them, if any,
+    is appended first. No id joins two terminals, whose identification
+    would change cut values outright.
+    """
+    verdict = run_tester(net, mark_base.c, params)
+    if verdict.is_sparse:
+        assert verdict.witness is not None
+        if depth >= MAX_DEPTH:
+            return []
+        sub = recursive_instance(net, verdict.witness)
+        events.append(Recurse(verdict.witness, depth + 1))
+        sub_final = _reduce(sub, params, mark_base, rng, depth + 1)[0]
+        free = set(sub.edge_ids()).difference(sub_final.edge_ids())
+    else:
+        over = _overconnected(net, terminal_capacity(net))
+        if over:
+            return over
+        call_params = replace(mark_base, seed=rng.randrange(1 << 62))
+        try:
+            marked = mark(net, call_params).marked
+        except MarkingRefusedError:
+            return []
+        events.append(MarkStats(len(marked), mark_base.c, call_params.i0))
+        free = set(net.edge_ids()).difference(marked)
+    tset = set(net.terminals)
+    eid = next((eid for eid, u, v in net.edges  # in id order
+                if eid in free and not (u in tset and v in tset)), None)
+    return [] if eid is None else [eid]
 
 
 def _overconnected(net: TerminalNetwork, k: int) -> list[int]:
@@ -200,16 +209,6 @@ def _overconnected(net: TerminalNetwork, k: int) -> list[int]:
             raise InternalError(
                 f"edge {eid} has a terminal end but is over {k}-connected")
     return over
-
-
-def _contractible(net: TerminalNetwork, candidates: set[int]) -> int | None:
-    """Lowest candidate whose endpoints are not both terminals; edges
-    between two terminals are never contracted (their identification would
-    change cut values outright).
-    """
-    tset = set(net.terminals)
-    return next((eid for eid, u, v in net.edges  # in id order
-                 if eid in candidates and not (u in tset and v in tset)), None)
 
 
 # -- trace text form ---------------------------------------------------------

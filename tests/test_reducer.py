@@ -356,6 +356,17 @@ def test_trace_must_end_with_stop():
         parse_trace("C 1\n")
 
 
+def test_trace_stop_is_known_and_last():
+    with pytest.raises(InputError):
+        Stop("foo")
+    with pytest.raises(InputError, match="line 1"):
+        parse_trace("S foo\n")
+    with pytest.raises(InputError):
+        ReductionTrace((Stop("base"), Contract(1), Stop("base")))
+    with pytest.raises(InputError):
+        parse_trace("S base\nC 1\nS base\n")
+
+
 def test_replay_reproduces_output_bytes():
     for seed in range(12):
         rng = random.Random(seed)

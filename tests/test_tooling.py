@@ -1,5 +1,6 @@
 """Source hygiene: no module in src/, tests/ or demos/ imports a name it
-never uses. The scan reads each file's AST, so it needs no linter; a name
+never uses, and no private module-level function or class in src/ is left
+unread. The scans read each file's AST, so they need no linter; a name
 counts as used when the module reads it anywhere (an attribute access
 reads its root name) or re-exports it through `__all__`.
 """
@@ -53,3 +54,44 @@ def test_no_unused_imports():
              for path in sorted((ROOT / folder).rglob("*.py"))
              for line, name in unused_imports(path.read_text("utf-8"))]
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """module:name of each module-level function or class whose name starts
+    with `_` that no source reads, by name or as an attribute.
+    `_cmd_*` handlers are exempt: the CLI looks them up by name."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined.extend(
+            (module, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("_cmd_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}:{name}" for module, name in defined if name not in read]
+
+
+def test_private_scan_flags_only_unread_definitions():
+    sources = {
+        "a": "def _used(): pass\n"
+             "def _dead(): pass\n"
+             "class _Dead: pass\n"
+             "def _cmd_run(): pass\n"
+             "def _shared(): pass\n"
+             "def public(): return _used()\n",
+        "b": "import a\n"
+             "x = a._shared\n",
+    }
+    assert unread_private_definitions(sources) == ["a:_dead", "a:_Dead"]
+
+
+def test_no_unread_private_definitions_in_src():
+    sources = {str(path.relative_to(ROOT)): path.read_text("utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    found = unread_private_definitions(sources)
+    assert not found, "private but never read:\n" + "\n".join(found)

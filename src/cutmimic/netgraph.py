@@ -511,12 +511,6 @@ class Partition:
     def size(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, t: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if t in b:
-                return i
-        raise InputError(f"{t} is not in this partition")
-
     def to_text(self) -> str:
         return "|".join(",".join(str(t) for t in b) for b in self.blocks)
 

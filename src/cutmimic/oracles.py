@@ -1,15 +1,21 @@
 """Brute-force ground truth for cut problems at desk scale.
 
-Flow-based routes (bipartitions, single requests, closest cuts) are exact at
-any size this package handles; partition counts and branch-and-bound searches
-are guarded by explicit ceilings and refuse rather than grind. Every flow
-runs in one augmenting loop, `unit_flow`: `min_cut_side` runs it to the
-end, the reducer's connectivity rule stops it after k + 1 paths and the
-exact tester's certificate after kappa_0. Every cut read off a flow comes
-from `closest_min_cut` (which checks its size against the flow value), and
-every component test (`is_multiway_cut`, `is_multicut`) reads the vertex ->
-component labelling `netgraph.component_labels` makes in one union-find
-pass over the edges, never the search's bit masks.
+A multiway cut and a multicut are both one question, "separate these group
+pairs", and one routine answers it (`_solve_separation`): a single pair (a
+two-block partition, one request) is a minimum s-t cut by max flow, exact
+at any size this package handles, and more pairs go to the
+branch-and-bound search. `min_multiway_cut` and `min_multicut` only name
+the groups to separate and check the witness they get back, whichever
+route found it. Partition counts and searches are guarded by explicit
+ceilings and refuse rather than grind.
+
+Every flow runs in one augmenting loop, `unit_flow`: `min_cut_side` runs
+it to the end, the reducer's connectivity rule stops it after k + 1 paths
+and the exact tester's certificate after kappa_0. Every cut read off a
+flow comes from `closest_min_cut` (which checks its size against the flow
+value), and every component test (`is_multiway_cut`, `is_multicut`) reads
+the vertex -> component labelling `netgraph.component_labels` makes in one
+union-find pass over the edges, never the search's bit masks.
 
 Essentiality is decided by re-solving with the edge made undeletable
 (contracted) and comparing values, never by enumerating witnesses; only
@@ -251,23 +257,28 @@ class _SearchIndex:
         return got
 
 
-def _check_index(net: TerminalNetwork, index: _SearchIndex | None) -> None:
-    if index is not None and index.net is not net:
-        raise InputError("search index was built for another network")
-
-
 def _solve_separation(net: TerminalNetwork, groups: Sequence[tuple[int, ...]],
                       pair_list: Sequence[tuple[int, int]],
                       index: _SearchIndex | None
                       ) -> tuple[int, tuple[int, ...]]:
     """Minimum edge set X whose removal puts every listed group-index pair
-    (of disjoint groups) in different components. Iterative deepening with
-    path branching, refused above BB_EDGE_CEILING edges. Reads `index`
+    (of disjoint groups) in different components; the one place that picks
+    flow or search. With no pair, X is empty. One pair is a minimum s-t
+    cut: `closest_min_cut` from its first group, at any size up to the
+    flow ceiling. More pairs go to iterative deepening with path
+    branching, refused above BB_EDGE_CEILING edges, which reads `index`
     (built here when None). Deepening ends by budget m, since deleting
-    every edge separates any two disjoint groups.
+    every edge separates any two disjoint groups. The callers check every
+    witness.
     """
+    if index is not None and index.net is not net:
+        raise InputError("search index was built for another network")
     if not pair_list:
         return 0, ()
+    if len(pair_list) == 1:
+        (i, j), = pair_list
+        cut = closest_min_cut(net, groups[i], groups[j])
+        return len(cut), cut
     if net.m > BB_EDGE_CEILING:
         raise RefusedError(
             f"{net.m} edges exceeds search ceiling {BB_EDGE_CEILING}")
@@ -335,22 +346,13 @@ def min_multiway_cut(net: TerminalNetwork, part: Partition, *,
                      index: _SearchIndex | None = None
                      ) -> tuple[int, tuple[int, ...]]:
     """Minimum edge multiway cut for a partition of the terminals, with a
-    witness. Two-block partitions go through max flow; larger ones through
-    iterative-deepening search (refused above the edge ceiling), which
-    reads `index` when given one built for `net`.
+    checked witness: `_solve_separation` separates every pair of blocks,
+    by max flow for two blocks and by the search (refused above the edge
+    ceiling, reading `index` when given one built for `net`) for more.
     """
     _check_partition(net, part)
-    _check_index(net, index)
-    blocks = part.blocks
-    if len(blocks) <= 1:
-        value, witness = 0, ()
-    elif len(blocks) == 2:
-        witness = closest_min_cut(net, *blocks)
-        value = len(witness)
-    else:
-        pair_list = [(i, j) for i in range(len(blocks))
-                     for j in range(i + 1, len(blocks))]
-        value, witness = _solve_separation(net, blocks, pair_list, index)
+    value, witness = _solve_separation(
+        net, part.blocks, list(combinations(range(part.size), 2)), index)
     if not is_multiway_cut(net, part, witness):
         raise InternalError(
             f"witness {witness} of value {value} is not a multiway cut "
@@ -361,23 +363,18 @@ def min_multiway_cut(net: TerminalNetwork, part: Partition, *,
 def min_multicut(net: TerminalNetwork, requests: CutRequests, *,
                  index: _SearchIndex | None = None
                  ) -> tuple[int, tuple[int, ...]]:
-    """Minimum edge multicut for terminal pair requests, with a witness.
-    A single request goes through max flow, more through the search, which
-    reads `index` when given one built for `net`.
+    """Minimum edge multicut for terminal pair requests, with a checked
+    witness: `_solve_separation` separates the request pairs over the
+    sorted endpoints as singleton groups, by max flow for one request and
+    by the search (reading `index` when given one built for `net`) for
+    more.
     """
-    _check_index(net, index)
     pairs = requests.pairs
-    if not pairs:
-        return 0, ()
-    if len(pairs) == 1:
-        (s, t), = pairs
-        cut = closest_min_cut(net, [s], [t])
-        return len(cut), cut
     ends = sorted({x for p in pairs for x in p})
     group_of = {v: i for i, v in enumerate(ends)}
-    pair_list = [(group_of[u], group_of[v]) for u, v in pairs]
-    value, witness = _solve_separation(net, [(v,) for v in ends], pair_list,
-                                       index)
+    value, witness = _solve_separation(
+        net, [(v,) for v in ends],
+        [(group_of[u], group_of[v]) for u, v in pairs], index)
     if not is_multicut(net, requests, witness):
         raise InternalError(
             f"witness {witness} of value {value} is not a multicut "

@@ -113,13 +113,13 @@ def mimicking_network(net: TerminalNetwork, params: ReduceParams
     """The input with every non-covering edge contracted away; terminal set
     and all partition cut values are unchanged. Its edge ids, a subset of
     the input's, form a multicut-covering set: every request set over T has
-    a minimum multicut inside it.
+    a minimum multicut inside it. When cap(T) = 0, every edge lies in a
+    terminal-free component, which the degree-2 rules delete, so the
+    output is the bare terminals.
     """
     if not net.terminals:
         raise InputError("reduction needs a nonempty terminal set")
     k = terminal_capacity(net)
-    if k < 1:
-        raise InputError("terminals must have positive capacity")
     c = params.mark.c if params.mark.c is not None else default_c(k, params.mark.i0)
     mark_base = replace(params.mark, c=c)
     rng = random.Random(params.mark.seed)

@@ -11,8 +11,8 @@ re-validated by build) or a construction a gate measures the engine
 against (the direct sum of layers, the isolating-cut 2-approximation, the
 covering condition), plus the helpers the tests build inputs with: random
 matrices as column lists, the product-form selection on tuples of ground
-elements, the arc-list constructor of the hand-built test digraphs and
-the arc list of a digraph.
+elements, the arc-list constructor of the hand-built test digraphs, the
+arc list of a digraph and the block of a terminal in a partition.
 The file name keeps pytest from collecting it; tests import it as
 `reference`, which works because pytest puts this directory on sys.path.
 """
@@ -162,6 +162,14 @@ def arcs(dg: Digraph) -> tuple[tuple[Node, Node], ...]:
         for u in dg.in_neighbors(v):
             outs[u].append(v)
     return tuple((u, v) for u in dg.nodes for v in outs[u])
+
+
+def block_of(part: Partition, t: int) -> int:
+    """Index of the block of `part` that holds terminal t."""
+    for i, b in enumerate(part.blocks):
+        if t in b:
+            return i
+    raise InputError(f"{t} is not in this partition")
 
 
 def reference_edge_cut_gammoid_digraph(net: TerminalNetwork

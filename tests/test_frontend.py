@@ -552,6 +552,42 @@ def test_cli_kernelize_mwc_no_instance(tmp_path, capsys):
     assert cli(["kernelize", "mwc", g]) == 2  # --budget is required
 
 
+@pytest.mark.parametrize("argv, text, out, trace", [
+    (["reduce", "{g}"], "p tn 2 0 2\nt 1\nt 2\n", "p tn 2 0 2\nt 1\nt 2\n",
+     "S base\n"),
+    (["reduce", "{g}"], "p tn 4 1 2\nt 1\nt 2\ne 3 4\n",
+     "p tn 2 0 2\nt 1\nt 2\n", "DC 3 4\nS base\n"),
+    # a YES instance with optimum 0: the isolating-cut contraction leaves
+    # terminals with no edges
+    (["kernelize", "mwc", "{g}", "--budget", "0"],
+     "p tn 3 1 2\nt 1\nt 3\ne 1 2\n",
+     "p tn 2 0 2\nt 1\nt 3\n", None),
+], ids=["reduce-no-edges", "reduce-terminal-free-edge", "kernelize-mwc"])
+def test_cli_terminals_without_edges_reduce_to_the_terminals(
+        argv, text, out, trace, tmp_path, capsys):
+    g = tmp_path / "g.net"
+    g.write_text(text, encoding="utf-8")
+    extra = [] if trace is None else ["--trace", str(tmp_path / "t.txt")]
+    assert cli([arg.format(g=g) for arg in argv] + extra) == 0
+    assert capsys.readouterr().out == out
+    if trace is not None:
+        assert (tmp_path / "t.txt").read_text(encoding="utf-8") == trace
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", FIX01], ["mark", FIX01, "--c", "2", "--i0", "2"],
+    ["kernelize", "mwc", FIX01, "--budget", "1"], ["verify", FIX01, FIX01],
+], ids=["reduce", "mark", "kernelize", "verify"])
+@pytest.mark.parametrize("seed", ["-5", str(1 << 64)])
+def test_cli_refuses_seeds_outside_u64(argv, seed, capsys):
+    # random.Random(-5) draws what Random(5) draws, so a negative seed
+    # would silently alias its absolute value
+    assert cli(argv + ["--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be in 0 .. 2^64 - 1, got {seed}\n"
+
+
 def test_cli_kernelize_multicut_emits_primed_requests(tmp_path, capsys):
     g = write_net(tmp_path, "g.net", path1(3))
     req = tmp_path / "req.txt"

@@ -43,6 +43,7 @@ from conftest import (
     triangle,
 )
 from reference import (
+    block_of,
     delete_edges,
     reference_contract_edge,
     reference_contract_vertex_set,
@@ -397,8 +398,8 @@ class TestPartition:
 
     def test_block_of(self):
         part = Partition.of([1, 2, 3], [(1, 3), (2,)])
-        assert part.block_of(3) == 0
-        assert part.block_of(2) == 1
+        assert block_of(part, 3) == 0
+        assert block_of(part, 2) == 1
 
     def test_all_partitions_bell_counts(self):
         assert len(list(all_partitions([1]))) == 1

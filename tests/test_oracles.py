@@ -40,8 +40,15 @@ from cutmimic.oracles import (
 )
 
 from conftest import path_network, random_connected_network, triangle
-from record_search_witnesses import FIXTURE, masked_pairs, request_masks
+from record_search_witnesses import (
+    FIXTURE,
+    FLOW_FIXTURE,
+    masked_pairs,
+    request_masks,
+    routed_partitions,
+)
 from reference import (
+    block_of,
     enumerate_minimum_multiway_cuts,
     isolating_cut_values,
     smallest_separating_edge_sets,
@@ -76,7 +83,7 @@ def naive_components(net, removed):
 
 
 def naive_separates(net, part, removed):
-    block = {t: part.block_of(t) for t in net.terminals}
+    block = {t: block_of(part, t) for t in net.terminals}
     for comp in naive_components(net, removed):
         met = {block[t] for t in comp if t in block}
         if len(met) > 1:
@@ -233,7 +240,7 @@ def test_multiway_search_matches_subset_search(net, data):
     part = data.draw(st.sampled_from(parts))
     value, witness = min_multiway_cut(net, part)
     cross = [(a, b) for a, b in itertools.combinations(sorted(net.terminals), 2)
-             if part.block_of(a) != part.block_of(b)]
+             if block_of(part, a) != block_of(part, b)]
     least, sets = smallest_separating_edge_sets(net, cross)
     assert value == least
     assert frozenset(witness) in sets and len(witness) == value
@@ -288,6 +295,29 @@ def test_shared_index_replays_recording_in_any_order():
         assert index.paths  # the searches stored their paths in it
 
 
+def test_flow_witnesses_match_recording():
+    """Values and witnesses of the max-flow route on the same 30 networks,
+    recorded by tests/record_search_witnesses.py: every two-block partition
+    and every single request."""
+    cases = json.loads(FLOW_FIXTURE.read_text())
+    assert len(cases) == 30
+    for case in cases:
+        terms = case["terminals"]
+        net = TerminalNetwork.build(
+            case["vertices"], [tuple(e) for e in case["edges"]], terms)
+        assert [row[0] for row in case["multiway"]] == \
+            [p.to_text() for p in routed_partitions(terms, flow=True)]
+        for text, value, witness in case["multiway"]:
+            got = min_multiway_cut(net, Partition.from_text(terms, text))
+            assert got == (value, tuple(witness)), (case["seed"], text)
+        assert [row[0] for row in case["multicut"]] == \
+            request_masks(terms, flow=True)
+        for mask, value, witness in case["multicut"]:
+            req = CutRequests.of(terms, masked_pairs(terms, mask))
+            got = min_multicut(net, req)
+            assert got == (value, tuple(witness)), (case["seed"], mask)
+
+
 def per_call_essential(net):
     # essential_edges' rule with a fresh index for every search: an edge of
     # a minimum witness is essential if it joins two terminals, or if
@@ -338,6 +368,14 @@ def test_multicut_triangle_one_request():
     assert is_multicut(net, CutRequests.of((1, 2, 3), [(1, 2)]), witness)
 
 
+def test_multicut_bad_flow_witness_raises_internal_error(monkeypatch):
+    # a single request is answered by max flow, and its witness is checked
+    # like the search's
+    monkeypatch.setattr("cutmimic.oracles.is_multicut", lambda *a: False)
+    with pytest.raises(InternalError, match=r"of value 2 is not a multicut"):
+        min_multicut(triangle(), CutRequests.of((1, 2, 3), [(1, 2)]))
+
+
 def test_multicut_no_requests_is_zero():
     assert min_multicut(triangle(), CutRequests.of((1, 2, 3), [])) == (0, ())
 
@@ -351,7 +389,7 @@ def test_multicut_equals_multiway_on_cross_block_pairs():
         terms = sorted(net.terminals)
         for part in all_partitions(net.terminals):
             pairs = [(a, b) for a, b in itertools.combinations(terms, 2)
-                     if part.block_of(a) != part.block_of(b)]
+                     if block_of(part, a) != block_of(part, b)]
             if not pairs:
                 continue
             req = CutRequests.of(terms, pairs)
@@ -378,7 +416,7 @@ def test_multicut_is_least_multiway_cut_over_separating_partitions(inst):
     net, req = inst
     best = min(min_multiway_cut(net, part)[0]
                for part in all_partitions(net.terminals)
-               if all(part.block_of(a) != part.block_of(b)
+               if all(block_of(part, a) != block_of(part, b)
                       for a, b in req.pairs))
     assert min_multicut(net, req)[0] == best
 

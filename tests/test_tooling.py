@@ -1,6 +1,7 @@
 """Source hygiene: no module in src/, tests/ or demos/ imports a name it
-never uses, and no private module-level function or class in src/ is left
-unread. The scans read each file's AST, so they need no linter; a name
+never uses, no private module-level function or class in src/ is left
+unread, and every public one (and every public method) is read outside
+the tests. The scans read each file's AST, so they need no linter; a name
 counts as used when the module reads it anywhere (an attribute access
 reads its root name) or re-exports it through `__all__`.
 """
@@ -95,3 +96,65 @@ def test_no_unread_private_definitions_in_src():
                for path in sorted((ROOT / "src").rglob("*.py"))}
     found = unread_private_definitions(sources)
     assert not found, "private but never read:\n" + "\n".join(found)
+
+
+def unread_public_definitions(defining: dict[str, str],
+                              readers: list[str]) -> list[str]:
+    """module:name (module:Class.name for a method) of each public
+    module-level function or class of `defining`, and each public method of
+    such a class, that no source in `readers` reads: as a name, an
+    attribute or an imported alias."""
+    defined: list[tuple[str, str, str]] = []
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append((module, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (module, f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_"))
+    read: set[str] = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{module}:{label}" for module, label, name in defined
+            if name not in read]
+
+
+def test_public_scan_flags_only_unread_definitions():
+    defining = {
+        "a": "def used(): pass\n"
+             "def imported(): pass\n"
+             "def dead(): pass\n"
+             "def _private(): pass\n"
+             "class Box:\n"
+             "    def read(self): pass\n"
+             "    def unread(self): pass\n"
+             "    def _hidden(self): pass\n"
+             "class Gone: pass\n",
+    }
+    readers = [*defining.values(),
+               "from a import imported\n"
+               "box = a.Box()\n"
+               "used()\n"
+               "box.read()\n"]
+    assert unread_public_definitions(defining, readers) == [
+        "a:dead", "a:Box.unread", "a:Gone"]
+
+
+def test_every_public_definition_in_src_is_read_outside_the_tests():
+    defining = {str(path.relative_to(ROOT)): path.read_text("utf-8")
+                for path in sorted((ROOT / "src").rglob("*.py"))}
+    readers = [path.read_text("utf-8")
+               for folder in ("src", "demos", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    found = unread_public_definitions(defining, readers)
+    assert not found, "public but read only by tests:\n" + "\n".join(found)

@@ -31,6 +31,7 @@ from .matroids import (
     uniform_rep,
 )
 from .netgraph import TerminalNetwork, components, terminal_capacity
+from .oracles import validate_seed
 from .repset import representative_set_product
 from .tester import validate_c
 
@@ -55,6 +56,7 @@ def default_c(k: int, i0: int) -> int:
 class MarkParams:
     """Marking knobs. c and graphic_rank_cap of None mean "derive from k":
     c as for default_c, the cap as k^(c-i0) clamped to GRAPHIC_CAP_CEILING.
+    The seed must lie in 0 .. 2^64 - 1 (oracles.validate_seed).
     """
 
     c: int | None = None
@@ -64,6 +66,7 @@ class MarkParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        validate_seed(self.seed)
         if self.i0 < 2:
             raise InputError("i0 must be at least 2 (one gammoid layer)")
         if self.c is not None:

@@ -18,13 +18,15 @@ in the parent's id-sorted edge tuple, rewrites or drops it, and copies the
 untouched runs between them as slices; the dropped vertices are sliced out
 of the sorted vertex tuple the same way. It skips build's checks: they
 cannot fail on a network derived from a valid one, so build validates only
-outside data. A network carries no cached index: inputs often stay alive for
-a whole run, and a cached adjacency raised the peak RSS of the sparse-chains
+outside data. contract_edge(net, *eids) is the one contraction routine: it
+composes any number of merges in a union-find and applies them in one edit.
+A network carries no cached index: inputs often stay alive for a whole
+run, and a cached adjacency raised the peak RSS of the sparse-chains
 benchmark from 30 MB to 44 MB. A caller without an index finds the touched
 edges in one pass (_incident). degree2_reduce keeps its own index for the
-length of one call: it finds each next event from that index, hands each
-edit the edges the index names, and checks the index against the network it
-returns.
+length of one call: it applies every event to that index only, builds its
+result with at most two edits (one contract_edge call, one _edited call),
+and checks the index against the network it returns.
 
 Text format (one network per file):
 
@@ -122,10 +124,10 @@ class TerminalNetwork:
         return d
 
     def fresh_vertex_id(self) -> int:
-        return (max(self.vertices) + 1) if self.vertices else 1
+        return (self.vertices[-1] + 1) if self.vertices else 1
 
     def fresh_edge_id(self) -> int:
-        return (max(e[0] for e in self.edges) + 1) if self.edges else 1
+        return (self.edges[-1][0] + 1) if self.edges else 1
 
 
 def capacity(net: TerminalNetwork, S: Iterable[int]) -> int:
@@ -239,25 +241,41 @@ def recursive_instance(net: TerminalNetwork, S: Iterable[int]
     return sub
 
 
-def contract_edge(net: TerminalNetwork, eid: int, *,
-                  index: Mapping[int, Iterable[int]] | None = None
-                  ) -> TerminalNetwork:
-    """Contract one edge. The merged vertex keeps the terminal identity if one
-    endpoint is a terminal, otherwise the smaller vertex id. Self-loops formed
-    by parallel copies are discarded; all other surviving edges keep their ids.
+def contract_edge(net: TerminalNetwork, *eids: int) -> TerminalNetwork:
+    """Contract the edges `eids`, one after another. Each merged vertex keeps
+    the terminal identity if one end is a terminal, otherwise the smaller
+    vertex id. Self-loops formed by parallel copies are discarded; all other
+    surviving edges keep their ids.
 
-    `index` maps each vertex to the ids of its edges. Given one, the edit
-    touches only the edges it names for the vertex that disappears, so the
-    contraction costs those edges plus a slice copy; without one they are
-    found in one pass over the edges.
+    The merges are composed in a union-find with path halving, so the
+    result is the successive single-edge contractions' in one edit: one
+    pass finds the edges of the merged-away vertices and one _edited call
+    rewrites them. An id that the earlier ones made a loop (and so dropped)
+    raises InputError, as an unknown id does; an edge whose ends are by
+    then two terminals raises TerminalContractionError.
     """
-    u, v = net.endpoints(eid)
-    if u in net.terminals and v in net.terminals:
-        raise TerminalContractionError(
-            f"edge {eid} joins terminals {u} and {v}; contraction refused")
-    keep, gone = _contraction_ends(u, v, net.terminals)
-    touched = _incident(net, {gone}) if index is None else index[gone]
-    return _edited(net, {gone: keep}, frozenset(), touched)
+    tset = set(net.terminals)
+    parent: dict[int, int] = {}  # merged-away vertex -> the one it joined
+
+    def find(x: int) -> int:
+        while x in parent:  # path halving: x skips to its grandparent
+            up = parent[x]
+            parent[x] = x = parent.get(up, up)
+        return x
+
+    for eid in eids:
+        u, v = net.endpoints(eid)
+        u, v = find(u), find(v)
+        if u == v:
+            raise InputError(f"edge {eid} is a loop after the contractions "
+                             f"before it")
+        if u in tset and v in tset:
+            raise TerminalContractionError(
+                f"edge {eid} joins terminals {u} and {v}; contraction refused")
+        keep, gone = _contraction_ends(u, v, tset)
+        parent[gone] = keep
+    merge = {x: find(x) for x in parent}
+    return _edited(net, merge, frozenset(), _incident(net, merge))
 
 
 def _contraction_ends(u: int, v: int, terminals: Container[int]
@@ -381,32 +399,38 @@ def degree2_reduce(net: TerminalNetwork
     pair is kept, to preserve multiplicity. No minimum multiway cut value
     over any partition of T changes.
 
-    Each next event is found from an index kept for this call only: vertex
-    -> {edge id: other endpoint}, and one min-heap of (kind, vertex) entries
+    Every event is applied to an index kept for this call only: vertex ->
+    {edge id: other endpoint}, and one min-heap of (kind, vertex) entries
     in which leaves (kind 1) sort before contractible degree-2 vertices
     (kind 2). After an event only the vertex that lost or gained edges is
     re-pushed, and an entry whose vertex changed kind since it was pushed
-    is dropped when popped. The index also names the edges each event
-    touches: a leaf is cut off by one _edited call on its one edge, and a
-    contraction goes through contract_edge with `index=`, so no event
-    passes over every edge. The component deletions go through
-    apply_local_event. Once no rule applies, the index is compared with
-    the network in one pass, and InternalError is raised if they differ.
-    Returns the reduced network and the event list in application order.
+    is dropped when popped. The network is built once the rules are
+    exhausted, by at most two edits: one contract_edge call with every
+    contracted id in event order, then one _edited call that drops the
+    deleted leaves and components with the edges the index named for
+    them. A deleted vertex is never merged into later, so contracting
+    first gives the network the events give in their own order. The index
+    is then compared with that network in one pass, and InternalError is
+    raised if they differ. Returns the reduced network and the event list
+    in application order.
     """
     # Imported here so that importing the package does not load heapq.
     from heapq import heappop, heappush
 
     tset = set(net.terminals)
+    nbrs = _ends(net)
     # Dropping a non-terminal leaf or contracting at a non-terminal degree-2
     # vertex never strands a component without terminals, so the
     # terminal-free components are found once, up front.
     events: list[LocalEvent] = [DeleteComponent(c) for c in components(net)
                                 if tset.isdisjoint(c)]
-    cur = net
+    deleted: set[int] = set()  # vertices of deleted leaves and components
+    dropped: set[int] = set()  # the ids of their edges
     for dead in events:
-        cur = apply_local_event(cur, dead)
-    nbrs = _ends(cur)
+        deleted.update(dead.vertices)
+        for v in dead.vertices:
+            dropped.update(nbrs.pop(v))
+    contracted: list[int] = []
 
     def kind(v: int) -> int:
         """1 for a leaf, 2 for a contractible degree-2 vertex, else 0."""
@@ -424,7 +448,7 @@ def degree2_reduce(net: TerminalNetwork
         if k:
             heappush(heap, (k, v))
 
-    for v in cur.vertices:
+    for v in net.vertices:
         push(v)
     while heap:
         k, v = heappop(heap)
@@ -432,14 +456,14 @@ def degree2_reduce(net: TerminalNetwork
             continue
         if k == 1:
             ((eid, w),) = nbrs.pop(v).items()
-            cur = _edited(cur, {}, {v}, (eid,))
             del nbrs[w][eid]
+            deleted.add(v)
+            dropped.add(eid)
             push(w)
             events.append(DeleteLeaf(v))
         else:
             eid = min(nbrs[v])
             keep, gone = _contraction_ends(v, nbrs[v][eid], tset)
-            cur = contract_edge(cur, eid, index=nbrs)  # reads nbrs[gone]
             kept = nbrs[keep]
             for e, x in nbrs.pop(gone).items():
                 if x == keep:  # a copy of the contracted edge: now a loop
@@ -451,8 +475,12 @@ def degree2_reduce(net: TerminalNetwork
                     kept[e] = x
                     nbrs[x][e] = keep
             push(keep)
+            contracted.append(eid)
             events.append(Contract(eid))
-    # The edits trusted the index to name every edge they touched.
+    cur = contract_edge(net, *contracted) if contracted else net
+    if deleted:
+        cur = _edited(cur, {}, deleted, dropped)
+    # The last edit trusted the index to name every edge it touched.
     if _ends(cur) != nbrs:
         raise InternalError("degree2_reduce: its index no longer matches "
                             "the network it reduced")

@@ -461,14 +461,24 @@ class VerifyReport:
     partition: Partition | None = None
 
 
+def validate_seed(seed: int) -> None:
+    """The one check of a seed, for MarkParams and verify_mimicking: it must
+    lie in 0 .. 2^64 - 1, since random.Random(-s) draws what Random(s)
+    draws."""
+    if not 0 <= seed < 1 << 64:
+        raise InputError(f"seed must be in 0 .. 2^64 - 1, got {seed}")
+
+
 def verify_mimicking(net: TerminalNetwork, other: TerminalNetwork,
                      seed: int = 0) -> VerifyReport:
     """Partition-table equality between two networks on the same terminal
     set, plus randomized multicut spot checks (redundant with the table by
     the partition correspondence; kept as an independent route). Each
     distinct drawn request set is solved once per network; a repeat draw
-    was already found equal, so the first mismatch is the same.
+    was already found equal, so the first mismatch is the same. A seed
+    outside 0 .. 2^64 - 1 raises InputError before anything else.
     """
+    validate_seed(seed)
     if set(net.terminals) != set(other.terminals):
         raise InputError("networks must share the terminal set")
     _check_terminal_count(net)

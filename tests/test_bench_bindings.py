@@ -84,7 +84,7 @@ def test_keep_counters_read_nonzero_on_cli_runs(tracer, tmp_path):
                  # reducer's dispatch, a binding the tracer must wrap
                  "tester.exact_tester.calls",
                  # perfbench/selftest.py needs this span on sparse-chains, so
-                 # Contract events must keep passing through contract_edge
+                 # degree2_reduce builds its contractions with contract_edge
                  "netgraph.contract_edge.calls",
                  # verify's two-block partitions reach min_cut_side, the
                  # traced entry to the flow routine

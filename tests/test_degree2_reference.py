@@ -1,12 +1,12 @@
 """degree2_reduce against a reference copy of its earlier loop.
 
 The reference re-finds terminal-free components and rescans every vertex
-after every event, and applies each event inline; degree2_reduce deletes
-those components once, up front, through apply_local_event, finds each
-next event from a per-call index and hands that index's edges to each
-edit: a leaf is cut off by one _edited call on its one edge, and a
-contraction goes through contract_edge(..., index=). Both must return the
-identical (network, events) pair on every input.
+after every event, and applies each event inline; degree2_reduce finds
+those components once, up front, applies every event to a per-call index
+only, and builds its network at the end: one contract_edge call with every
+contracted id in event order, then one _edited call that drops the deleted
+leaves and components. Both must return the identical (network, events)
+pair on every input.
 """
 
 import random

@@ -38,7 +38,7 @@ from cutmimic.netgraph import (
     parse_network,
     terminal_capacity,
 )
-from cutmimic.oracles import min_multicut, min_multiway_cut
+from cutmimic.oracles import min_multicut, min_multiway_cut, verify_mimicking
 from cutmimic.reducer import ReduceParams
 from cutmimic.tester import exact_tester, heuristic_tester
 
@@ -314,6 +314,8 @@ def test_cli_tester_refuses_the_i0_that_reduce_and_mark_refuse(i0, capsys):
 
 C_ZERO = "error: exponent c must be >= 1, got 0\n"
 CEILING_NEGATIVE = "error: exact tester ceiling must be >= 0, got -1\n"
+SEED_NEGATIVE = "error: seed must be in 0 .. 2^64 - 1, got -5\n"
+SEED_TOO_LARGE = f"error: seed must be in 0 .. 2^64 - 1, got {1 << 64}\n"
 
 
 @pytest.mark.parametrize("argv, code, want", [
@@ -339,8 +341,17 @@ def test_cli_words_each_refusal_one_way(argv, code, want, capsys):
     (lambda: heuristic_tester(triangle(), 0), C_ZERO),
     (lambda: ReduceParams(exact_ceiling=-1), CEILING_NEGATIVE),
     (lambda: exact_tester(triangle(), 2, -1), CEILING_NEGATIVE),
+    (lambda: MarkParams(seed=-5), SEED_NEGATIVE),
+    (lambda: MarkParams(seed=1 << 64), SEED_TOO_LARGE),
+    # the seed is checked before the terminal sets are compared
+    (lambda: verify_mimicking(path_network(2), path_network(3), seed=-5),
+     SEED_NEGATIVE),
+    (lambda: verify_mimicking(triangle(), triangle(), seed=1 << 64),
+     SEED_TOO_LARGE),
 ], ids=["MarkParams", "exact_tester", "heuristic_tester", "ReduceParams",
-        "exact_tester_ceiling"])
+        "exact_tester_ceiling", "MarkParams_seed_negative",
+        "MarkParams_seed_too_large", "verify_seed_negative",
+        "verify_seed_too_large"])
 def test_library_guards_word_refusals_as_the_cli(call, want):
     with pytest.raises(InputError) as exc:
         call()

@@ -191,6 +191,59 @@ def test_contract_square_preserves_min_cut():
     assert before == after == 2
 
 
+def test_contract_edge_batch_refusals():
+    # contracting 1 then 2 merges 3 into 1, so edge 3 is by then a loop
+    with pytest.raises(InputError, match="edge 3 is a loop"):
+        contract_edge(triangle(terminals=()), 1, 2, 3)
+    with pytest.raises(InputError, match="edge 1 is a loop"):
+        contract_edge(triangle(terminals=()), 1, 1)
+    # edge 1 keeps terminal 0, so edge 2 then joins terminals 0 and 2
+    with pytest.raises(TerminalContractionError,
+                       match="edge 2 joins terminals 0 and 2"):
+        contract_edge(path_network(2), 1, 2)
+
+
+def test_contract_edge_batch_matches_successive_contractions():
+    """contract_edge(net, *eids) composes its merges into one edit; it
+    gives what contracting the ids one at a time gives, and where that
+    fails it fails with the same error type."""
+    seen = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        net = random_connected_network(rng, n_hi=9,
+                                       n_terminals=rng.randint(1, 3))
+        _, u, v = rng.choice(net.edges)  # one parallel copy at least
+        net = TerminalNetwork.build(
+            net.vertices, net.edges + ((net.fresh_edge_id(), u, v),),
+            net.terminals)
+        eids = rng.sample(net.edge_ids(), rng.randint(1, net.m))
+        cur, error = net, None
+        for eid in eids:
+            if not cur.has_edge(eid):
+                error = InputError  # dropped as a loop by an earlier id
+                break
+            a, b = cur.endpoints(eid)
+            lo, hi = min(a, b), max(a, b)
+            seen["terminal kept"] += hi in cur.terminals and lo not in \
+                cur.terminals
+            seen["parallel"] += sum({x, y} == {a, b}
+                                    for _, x, y in cur.edges) > 1
+            try:
+                cur = contract_edge(cur, eid)
+            except TerminalContractionError:
+                error = TerminalContractionError
+                break
+        if error is None:
+            assert contract_edge(net, *eids) == cur, seed
+        else:
+            with pytest.raises(error):
+                contract_edge(net, *eids)
+        seen[error] += 1
+    for case in (None, InputError, TerminalContractionError,
+                 "terminal kept", "parallel"):
+        assert seen[case] >= 30, (case, seen)
+
+
 def test_contract_vertex_set():
     p = path_network(3)
     out = contract_vertex_set(p, {1, 2, 3}, onto=3)
@@ -299,54 +352,57 @@ def test_degree2_reduce_preserves_cut_values():
 
 
 def test_degree2_reduce_cost_shape(monkeypatch):
-    """Each next event comes from an index built once per call, so the
-    number of adjacency builds does not grow with the network; each
-    contraction is one contract_edge call, as the benchmark's span counts;
-    and the index names the edges each edit touches, so the number of
-    whole-edge passes that find them does not grow either."""
+    """The events are applied to an index kept for one call, and the
+    network is built at the end: one contract_edge call with every
+    contracted id, as the benchmark's span counts, and one _edited call
+    for the deletions. So the numbers of edits, of whole-edge passes that
+    find the touched edges and of adjacency builds per call do not grow
+    with the network."""
     calls = Counter()
-    adjacency, contract = TerminalNetwork.adjacency, netgraph.contract_edge
-    incident = netgraph._incident
 
-    def counted_adjacency(net):
-        calls["adjacency"] += 1
-        return adjacency(net)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    def counted_contract(net, eid, **kwargs):
-        calls["contract_edge"] += 1
-        return contract(net, eid, **kwargs)
-
-    def counted_incident(net, vertices):
-        calls["incident"] += 1
-        return incident(net, vertices)
-
-    monkeypatch.setattr(TerminalNetwork, "adjacency", counted_adjacency)
-    monkeypatch.setattr(netgraph, "contract_edge", counted_contract)
-    monkeypatch.setattr(netgraph, "_incident", counted_incident)
-    builds, passes = {}, {}
+    monkeypatch.setattr(TerminalNetwork, "adjacency",
+                        counting("adjacency", TerminalNetwork.adjacency))
+    for name in ("contract_edge", "_edited", "_incident"):
+        monkeypatch.setattr(netgraph, name,
+                            counting(name, getattr(netgraph, name)))
+    shape = {}
     for length in (10, 1000):
-        calls.clear()
         p = path_network(length)
+        calls.clear()
         out, events = degree2_reduce(p)
         assert out.m == 1
-        contractions = sum(isinstance(ev, Contract) for ev in events)
-        assert calls["contract_edge"] == contractions == length - 1
+        assert sum(isinstance(ev, Contract) for ev in events) == length - 1
+        assert calls["contract_edge"] == 1
+        contracting = dict(calls)
         # the same path with one terminal is cut back leaf by leaf
+        calls.clear()
         out, events = degree2_reduce(
             TerminalNetwork.build(p.vertices, p.edges, [0]))
         assert out.m == 0 and len(events) == length
         assert all(isinstance(ev, DeleteLeaf) for ev in events)
-        builds[length] = calls["adjacency"]
-        passes[length] = calls["incident"]
-    assert builds[10] == builds[1000]
-    assert passes[10] == passes[1000]
+        assert calls["contract_edge"] == 0
+        shape[length] = (contracting, dict(calls))
+    assert shape[10] == shape[1000]
+    rng = random.Random(5)
+    for _ in range(40):
+        net = random_connected_network(rng, n_hi=12, n_terminals=2)
+        calls.clear()
+        _, events = degree2_reduce(net)
+        assert calls["contract_edge"] == any(
+            isinstance(ev, Contract) for ev in events)
+        assert calls["_edited"] <= 2
 
 
 def test_degree2_index_drift_raises_internal_error(monkeypatch):
     """A contraction that leaves its network unchanged makes the index
     degree2_reduce keeps disagree with the network it returns."""
-    monkeypatch.setattr(netgraph, "contract_edge",
-                        lambda net, eid, **kwargs: net)
+    monkeypatch.setattr(netgraph, "contract_edge", lambda net, *eids: net)
     with pytest.raises(InternalError, match="index no longer matches"):
         degree2_reduce(path_network(5))
 
@@ -519,13 +575,16 @@ def test_edits_match_build_references_property(net, with_cycle, data):
         kinds = ["set"] + ["edge"] * bool(free) + ["leaf"] * bool(leaves) \
             + ["component"] * bool(dead)
         kind = data.draw(st.sampled_from(kinds))
-        # vertex -> its edge ids, as degree2_reduce hands it to an edit
+        # vertex -> its edge ids: an edit handed the edges an index names
+        # must equal one that finds them in a pass over the edges
         index = {v: [e for e, _ in ends]
                  for v, ends in net.adjacency().items()}
         if kind == "edge":
             eid = data.draw(st.sampled_from(free))
             out, want = contract_edge(net, eid), reference_contract_edge(net, eid)
-            spliced = contract_edge(net, eid, index=index)
+            keep, gone = netgraph._contraction_ends(*net.endpoints(eid), tset)
+            spliced = netgraph._edited(net, {gone: keep}, frozenset(),
+                                       index[gone])
         elif kind == "set":
             S = data.draw(st.sets(st.sampled_from(net.vertices), min_size=1))
             inside = sorted(S & tset)

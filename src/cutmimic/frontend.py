@@ -18,12 +18,13 @@ from .netgraph import (
     CutRequests,
     Partition,
     TerminalNetwork,
-    contract_vertex_set,
+    contract_edge,
     format_network,
     format_requests,
     parse_network,
     parse_pairs,
     parse_requests,
+    spanning_forest,
     terminal_capacity,
 )
 from .oracles import (
@@ -76,7 +77,10 @@ def kernelize_multiway_cut(inst: MultiwayCutInstance, params: ReduceParams
     For each terminal in ascending order, the minimum cut closest to it is
     computed; a value above the budget refutes the instance (any solution
     contains an isolating cut for each terminal). Otherwise the residual
-    side collapses onto the terminal. A surviving instance keeps the budget
+    side collapses onto the terminal: one contract_edge call over a
+    spanning forest of the edges inside it. The side is connected through
+    residual edges and holds no other terminal, so every vertex in it
+    merges onto the terminal. A surviving instance keeps the budget
     unchanged because the reduction preserves every cut value exactly.
     """
     net = inst.net
@@ -88,7 +92,8 @@ def kernelize_multiway_cut(inst: MultiwayCutInstance, params: ReduceParams
         if value > inst.budget:
             return None
         if len(reach) > 1:
-            net = contract_vertex_set(net, reach, onto=t)
+            net = contract_edge(net, *spanning_forest(
+                net, lambda eid, u, v: u in reach and v in reach))
     if terminal_capacity(net) > 2 * inst.budget:
         return None
     reduced, _ = mimicking_network(net, params)

@@ -10,16 +10,21 @@ ones produced by contraction.
 All operations are value-semantic: they return new networks and never mutate
 their inputs. component_labels(net, removed), one union-find pass over the
 edge tuple, is the one connectivity routine: components groups its labels,
-and the witness checks read them directly. boundary is the one cut read-off,
-and apply_local_event the one place a replayed local event is checked and
-applied. Every contracted or pruned network is built by one edit, _edited,
-which is handed the ids of the edges it touches. It finds each by bisection
-in the parent's id-sorted edge tuple, rewrites or drops it, and copies the
-untouched runs between them as slices; the dropped vertices are sliced out
-of the sorted vertex tuple the same way. It skips build's checks: they
-cannot fail on a network derived from a valid one, so build validates only
-outside data. contract_edge(net, *eids) is the one contraction routine: it
-composes any number of merges in a union-find and applies them in one edit.
+and the witness checks read them directly. It keeps its own inline
+union-find because the witness checks call it in their inner loop. boundary
+is the one cut read-off, and apply_local_event the one place a replayed
+local event is checked and applied. Every contracted or pruned network is
+built by one edit, _edited, which is handed the ids of the edges it
+touches. It finds each by bisection in the parent's id-sorted edge tuple,
+rewrites or drops it, and copies the untouched runs between them as slices;
+the dropped vertices are sliced out of the sorted vertex tuple the same
+way. It skips build's checks: they cannot fail on a network derived from a
+valid one, so build validates only outside data. contract_edge(net, *eids)
+is the one contraction routine: it composes any number of merges in a
+union-find and applies them in one edit. A set of edges is contracted by
+handing it spanning_forest(net, keep), the ids of a forest of the edges
+keep selects, chosen in id order so that none is a loop of the earlier
+ones; both run the module's one union-find step, _find, with path halving.
 A network carries no cached index: inputs often stay alive for a whole
 run, and a cached adjacency raised the peak RSS of the sparse-chains
 benchmark from 30 MB to 44 MB. A caller without an index finds the touched
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalError, TerminalContractionError
 
@@ -105,9 +110,6 @@ class TerminalNetwork:
             raise InputError(f"unknown edge id {eid}")
         _, u, v = self.edges[i]
         return (u, v)
-
-    def has_edge(self, eid: int) -> bool:
-        return _edge_position(self.edges, eid) is not None
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> list of (edge id, other endpoint), edge-id order."""
@@ -247,25 +249,19 @@ def contract_edge(net: TerminalNetwork, *eids: int) -> TerminalNetwork:
     vertex id. Self-loops formed by parallel copies are discarded; all other
     surviving edges keep their ids.
 
-    The merges are composed in a union-find with path halving, so the
-    result is the successive single-edge contractions' in one edit: one
-    pass finds the edges of the merged-away vertices and one _edited call
-    rewrites them. An id that the earlier ones made a loop (and so dropped)
-    raises InputError, as an unknown id does; an edge whose ends are by
-    then two terminals raises TerminalContractionError.
+    The merges are composed in a union-find (_find), so the result is the
+    successive single-edge contractions' in one edit: one pass finds the
+    edges of the merged-away vertices and one _edited call rewrites them.
+    An id that the earlier ones made a loop (and so dropped) raises
+    InputError, as an unknown id does; an edge whose ends are by then two
+    terminals raises TerminalContractionError. To contract every edge of
+    a set, hand it a spanning_forest of that set.
     """
     tset = set(net.terminals)
-    parent: dict[int, int] = {}  # merged-away vertex -> the one it joined
-
-    def find(x: int) -> int:
-        while x in parent:  # path halving: x skips to its grandparent
-            up = parent[x]
-            parent[x] = x = parent.get(up, up)
-        return x
-
+    parent: dict[int, int] = {}
     for eid in eids:
         u, v = net.endpoints(eid)
-        u, v = find(u), find(v)
+        u, v = _find(parent, u), _find(parent, v)
         if u == v:
             raise InputError(f"edge {eid} is a loop after the contractions "
                              f"before it")
@@ -274,8 +270,36 @@ def contract_edge(net: TerminalNetwork, *eids: int) -> TerminalNetwork:
                 f"edge {eid} joins terminals {u} and {v}; contraction refused")
         keep, gone = _contraction_ends(u, v, tset)
         parent[gone] = keep
-    merge = {x: find(x) for x in parent}
+    merge = {x: _find(parent, x) for x in parent}
     return _edited(net, merge, frozenset(), _incident(net, merge))
+
+
+def spanning_forest(net: TerminalNetwork,
+                    keep: Callable[[int, int, int], bool]) -> list[int]:
+    """Ids, ascending, of a spanning forest of the edges (eid, u, v) for
+    which keep(eid, u, v) is true: Kruskal in id order. keep is called only
+    for an edge whose ends lie in different classes of the edges kept
+    before it, so no returned id is a loop of an earlier one, and
+    contracting the forest merges each class of the kept edges.
+    """
+    parent: dict[int, int] = {}
+    forest = []
+    for eid, u, v in net.edges:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv and keep(eid, u, v):
+            parent[ru] = rv
+            forest.append(eid)
+    return forest
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    """Root of x in a union-find that maps each merged-away vertex to the
+    one it joined; a root has no entry. Path halving: each step makes x
+    skip to its grandparent."""
+    while x in parent:
+        up = parent[x]
+        parent[x] = x = parent.get(up, up)
+    return x
 
 
 def _contraction_ends(u: int, v: int, terminals: Container[int]
@@ -284,23 +308,6 @@ def _contraction_ends(u: int, v: int, terminals: Container[int]
     two terminals: a terminal end is kept, otherwise the smaller id."""
     return (u, v) if u in terminals or (v not in terminals and u < v) \
         else (v, u)
-
-
-def contract_vertex_set(net: TerminalNetwork, S: Iterable[int], onto: int) -> TerminalNetwork:
-    """Collapse a vertex set onto one of its members in a single step.
-
-    At most one terminal may lie in S and it must be `onto` if present.
-    """
-    sset = _vertex_subset(net, S)
-    if onto not in sset:
-        raise InputError(f"vertex {onto} is not in the set being collapsed")
-    terms_inside = sset & set(net.terminals)
-    if terms_inside - {onto}:
-        raise TerminalContractionError(
-            f"collapsing {sorted(sset)} would merge terminals {sorted(terms_inside)}")
-    merged = sset - {onto}
-    return _edited(net, dict.fromkeys(merged, onto), frozenset(),
-                   _incident(net, merged))
 
 
 def _incident(net: TerminalNetwork, vertices: Container[int]

@@ -1,13 +1,14 @@
 """The reduction loop: covering sets and mimicking networks.
 
 Each pass applies the local degree-2 rules, stops at the size threshold, and
-otherwise contracts the edges that one step names. The step asks the
-expansion tester for a direction. A sparse set opens a recursive instance,
-and the step names the lowest edge that instance's reduction drops. A dense
-verdict names every edge whose ends are more than k-connected
-(`_overconnected`), else the lowest edge the matroid marker leaves unmarked.
-A step that names nothing saturates the loop. Every structural change lands
-in an event trace whose replay reproduces the output.
+otherwise contracts the edges that one step names, with one contract_edge
+call and one Contract event per id. The step asks the expansion tester for
+a direction. A sparse set opens a recursive instance, and the step names
+the lowest edge that instance's reduction drops. A dense verdict names a
+spanning forest of the edges whose ends are more than k-connected
+(`_overconnected`), else the lowest edge the matroid marker leaves
+unmarked. A step that names nothing saturates the loop. Every structural
+change lands in an event trace whose replay reproduces the output.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .netgraph import (
     contract_edge,
     degree2_reduce,
     recursive_instance,
+    spanning_forest,
     terminal_capacity,
 )
 from .oracles import unit_flow
@@ -146,10 +148,8 @@ def _reduce(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
         if not ids:
             events.append(Stop("saturated"))
             return net, events
-        for eid in ids:
-            if net.has_edge(eid):  # else a loop of earlier ones
-                net = contract_edge(net, eid)
-                events.append(Contract(eid))
+        net = contract_edge(net, *ids)
+        events.extend(map(Contract, ids))
 
 
 def _step(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
@@ -186,23 +186,26 @@ def _step(net: TerminalNetwork, params: ReduceParams, mark_base: MarkParams,
 
 
 def _overconnected(net: TerminalNetwork, k: int) -> list[int]:
-    """Ids, ascending, of the edges uv with lambda(u, v) > k, where k is
-    cap(T): both ends have degree > k and a unit flow capped at k + 1
-    paths finds k + 1.
+    """Ids, ascending, of a spanning forest of the edges uv with
+    lambda(u, v) > k, where k is cap(T): both ends have degree > k and a
+    unit flow capped at k + 1 paths finds k + 1.
 
     Sound to contract all of them: every partition's minimum multiway cut
     (and every multicut) has at most cap(T) edges, and a minimal cut
     holding uv separates u from v, so it would have at least lambda(u, v)
     edges. No terminal-incident edge qualifies, since lambda(t, x) <=
     deg(t) <= k, so contracting them keeps cap(T); and contraction never
-    lowers a lambda, so the edges found on one network stay contractible
-    while the others are contracted (an edge whose ends have merged is a
-    loop, already gone).
+    lowers a lambda, so the edges found stay contractible while the others
+    are contracted. The forest is built in id order and an edge whose ends
+    earlier forest edges already joined gets no flow: lambda(u, w) >=
+    min(lambda(u, v), lambda(v, w)) makes it over-connected too, and
+    contracting the forest makes it a loop. A class holding a terminal has
+    a forest edge at that terminal, so the terminal check sees it.
     """
     incident = net.adjacency()
-    over = [eid for eid, u, v in net.edges
-            if len(incident[u]) > k and len(incident[v]) > k
-            and unit_flow(incident, {u}, {v}, k + 1)[0] > k]
+    over = spanning_forest(
+        net, lambda eid, u, v: len(incident[u]) > k and len(incident[v]) > k
+        and unit_flow(incident, {u}, {v}, k + 1)[0] > k)
     tset = set(net.terminals)
     for eid in over:
         if tset.intersection(net.endpoints(eid)):

@@ -5,7 +5,8 @@ route to a result the engine computes another way (the rank of a vector
 set by its own elimination, independence in a layer as the rank of its
 columns, gammoid independence by disjoint paths, all minimum witnesses by
 subset search, the least separating edge sets by subset search with no
-oracle code, the general-form representative set, the edge-cut digraph
+oracle code, the forest of over-connected edges by an uncapped flow on
+every edge, the general-form representative set, the edge-cut digraph
 from its generated arc set, each network edit renamed or filtered and then
 re-validated by build) or a construction a gate measures the engine
 against (the direct sum of layers, the isolating-cut 2-approximation, the
@@ -390,7 +391,9 @@ def reference_contract_edge(net: TerminalNetwork, eid: int) -> TerminalNetwork:
 
 def reference_contract_vertex_set(net: TerminalNetwork, S: Iterable[int],
                                   onto: int) -> TerminalNetwork:
-    """contract_vertex_set by renaming every edge and rebuilding."""
+    """S collapsed onto its member `onto` by renaming every edge and
+    rebuilding: what contract_edge makes of a spanning forest of the edges
+    inside a connected S that holds no terminal but `onto`, if any."""
     sset = set(S)
     if sset - set(net.vertices):
         raise InputError(f"unknown vertex ids {sorted(sset - set(net.vertices))}")
@@ -475,6 +478,21 @@ def _separates(net: TerminalNetwork, X: set[int],
         if eid not in X:
             root[find(u)] = find(v)
     return all(find(u) != find(v) for u, v in pairs)
+
+
+def reference_overconnected_forest(net: TerminalNetwork, k: int
+                                   ) -> list[int]:
+    """reducer._overconnected by an uncapped flow on every edge: the edges
+    uv with lambda(u, v) > k by min_cut_side, then Kruskal over them in id
+    order, with vertex labels relabelled on each merge."""
+    label = {v: v for v in net.vertices}
+    forest = []
+    for eid, u, v in net.edges:
+        a, b = label[u], label[v]
+        if min_cut_side(net, [u], [v])[0] > k and a != b:
+            forest.append(eid)
+            label = {x: a if y == b else y for x, y in label.items()}
+    return forest
 
 
 def two_approx_multicut_cover(net: TerminalNetwork, part: Partition

@@ -21,9 +21,9 @@ from cutmimic.netgraph import (
     apply_local_event,
     boundary,
     capacity,
+    component_labels,
     components,
     contract_edge,
-    contract_vertex_set,
     degree2_reduce,
     format_network,
     format_requests,
@@ -31,6 +31,7 @@ from cutmimic.netgraph import (
     parse_network,
     parse_requests,
     recursive_instance,
+    spanning_forest,
     t_capacity,
     terminal_capacity,
 )
@@ -219,7 +220,7 @@ def test_contract_edge_batch_matches_successive_contractions():
         eids = rng.sample(net.edge_ids(), rng.randint(1, net.m))
         cur, error = net, None
         for eid in eids:
-            if not cur.has_edge(eid):
+            if eid not in cur.edge_ids():
                 error = InputError  # dropped as a loop by an earlier id
                 break
             a, b = cur.endpoints(eid)
@@ -244,15 +245,68 @@ def test_contract_edge_batch_matches_successive_contractions():
         assert seen[case] >= 30, (case, seen)
 
 
-def test_contract_vertex_set():
-    p = path_network(3)
-    out = contract_vertex_set(p, {1, 2, 3}, onto=3)
-    assert out.m == 1
-    assert out.endpoints(1) == (0, 3)
-    with pytest.raises(TerminalContractionError):
-        contract_vertex_set(p, {0, 1, 2, 3}, onto=3)
-    with pytest.raises(InputError):
-        contract_vertex_set(p, {1, 2}, onto=3)
+def test_spanning_forest_contracts_the_classes_of_the_kept_edges():
+    """The forest of a fixed edge filter on multigraphs with parallel
+    copies: contract_edge takes all of it in one call, each vertex then
+    stands for its class among the components of the kept-edge subgraph,
+    and the filter is never asked about an edge that the kept edges before
+    it already joined."""
+    def keep(eid, u, v):
+        return (eid + u * v) % 3 != 0
+
+    seen = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        net = random_connected_network(rng, n_hi=10, extra_hi=8,
+                                       n_terminals=rng.randint(0, 2))
+        _, u, v = rng.choice(net.edges)
+        net = TerminalNetwork.build(
+            net.vertices, net.edges + ((net.fresh_edge_id(), u, v),),
+            net.terminals)
+        calls = []
+
+        def recording(eid, u, v):
+            calls.append((eid, u, v))
+            return keep(eid, u, v)
+
+        forest = spanning_forest(net, recording)
+        assert forest == sorted(forest)
+        kept = [e for e in net.edges if keep(*e)]
+        # keep is asked about an edge exactly when its ends lie apart under
+        # the kept edges before it
+        apart = []
+        for eid, u, v in net.edges:
+            labels = component_labels(TerminalNetwork(
+                net.vertices, tuple(e for e in kept if e[0] < eid), ()))
+            if labels[u] != labels[v]:
+                apart.append((eid, u, v))
+        assert calls == apart, seed
+        seen["skipped"] += net.m - len(calls)
+        seen["parallel"] += len({(min(u, v), max(u, v)) for _, u, v in kept}) \
+            < len(kept)
+        classes = component_labels(
+            TerminalNetwork(net.vertices, tuple(kept), ()))
+        tset = set(net.terminals)
+        if len({classes[t] for t in tset}) < len(tset):
+            with pytest.raises(TerminalContractionError):
+                contract_edge(net, *forest)
+            seen["refused"] += 1
+            continue
+        out = contract_edge(net, *forest)
+        groups: dict[int, set[int]] = {}
+        for x, root in classes.items():
+            groups.setdefault(root, set()).add(x)
+        assert len(out.vertices) == len(groups), seed
+        for members in groups.values():
+            inside = members & tset
+            # the class keeps its terminal, else its least vertex
+            stays = inside.pop() if inside else min(members)
+            assert set(out.vertices) & members == {stays}, seed
+        assert out.edge_ids() == tuple(
+            e for e, u, v in net.edges if classes[u] != classes[v])
+        seen["contracted"] += 1
+    for case in ("skipped", "parallel", "refused", "contracted"):
+        assert seen[case] >= 5, (case, seen)
 
 
 def test_delete_edges_keeps_vertices():
@@ -586,12 +640,21 @@ def test_edits_match_build_references_property(net, with_cycle, data):
             spliced = netgraph._edited(net, {gone: keep}, frozenset(),
                                        index[gone])
         elif kind == "set":
-            S = data.draw(st.sets(st.sampled_from(net.vertices), min_size=1))
-            inside = sorted(S & tset)
-            if len(inside) > 1:
-                S -= set(inside[1:])
-            onto = inside[0] if inside else data.draw(st.sampled_from(sorted(S)))
-            out = contract_vertex_set(net, S, onto)
+            # a connected S with at most one terminal, grown from a seed
+            # vertex along edges; it collapses onto its terminal, else onto
+            # its least vertex
+            S = {data.draw(st.sampled_from(net.vertices))}
+            for _ in range(data.draw(st.integers(0, 6))):
+                grow = sorted({w for _, u, v in net.edges
+                               for x, w in ((u, v), (v, u))
+                               if x in S and w not in S
+                               and not (w in tset and S & tset)})
+                if not grow:
+                    break
+                S.add(data.draw(st.sampled_from(grow)))
+            onto = min(S & tset or S)
+            out = contract_edge(net, *spanning_forest(
+                net, lambda eid, u, v: u in S and v in S))
             want = reference_contract_vertex_set(net, S, onto)
             merged = S - {onto}
             spliced = netgraph._edited(

@@ -5,6 +5,7 @@ emitted networks where the parameter regime guarantees soundness.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from cutmimic.netgraph import (
     DeleteLeaf,
     TerminalNetwork,
     apply_local_event,
+    degree2_reduce,
     t_capacity,
     terminal_capacity,
 )
@@ -47,7 +49,7 @@ from conftest import (
     random_connected_network,
     triangle,
 )
-from reference import multicut_covering_set
+from reference import multicut_covering_set, reference_overconnected_forest
 
 
 def pendant_blob():
@@ -254,9 +256,73 @@ def test_overconnected_edge_with_terminal_end_raises_internal_error():
         reducer._overconnected(triangle(), 0)
 
 
-def test_overconnected_edges_of_a_blob_are_its_clique_edges():
+def test_overconnected_edges_of_a_blob_are_a_spanning_tree_of_its_clique():
+    # every clique edge is over 2-connected; a spanning tree of them, the
+    # star of edges 3-7 at vertex 3, is what one contraction needs
     net = pendant_blob()
-    assert reducer._overconnected(net, 2) == list(range(3, 18))
+    assert reducer._overconnected(net, 2) == [3, 4, 5, 6, 7]
+
+
+def test_overconnected_matches_the_reference_forest():
+    for net, _ in rule_corpus():
+        for cur in (net, degree2_reduce(net)[0]):
+            k = terminal_capacity(cur)
+            assert reducer._overconnected(cur, k) == \
+                reference_overconnected_forest(cur, k)
+
+
+def test_reduce_cost_shape(monkeypatch):
+    """Each pass that contracts is one contract_edge call with every id its
+    step names, and _overconnected runs a flow only on an edge whose ends
+    the over-connected edges before it have not joined."""
+    calls = Counter()
+    flows = []  # (u, v, over k) for each flow of one _overconnected call
+    contract, flow, step, overconnected = (
+        reducer.contract_edge, reducer.unit_flow, reducer._step,
+        reducer._overconnected)
+
+    def counted_contract(net, *eids):
+        calls["contract_edge"] += 1
+        return contract(net, *eids)
+
+    def counted_step(*args):
+        ids = step(*args)
+        calls["contracting passes"] += bool(ids)
+        return ids
+
+    def recorded_flow(incident, A, B, cap=None):
+        found = flow(incident, A, B, cap)
+        (u,), (v,) = A, B
+        flows.append((u, v, found[0] == cap))
+        return found
+
+    def checked_overconnected(net, k):
+        flows.clear()
+        over = overconnected(net, k)
+        label = {v: v for v in net.vertices}
+        for u, v, joins in flows:
+            a, b = label[u], label[v]
+            assert a != b, (u, v)
+            if joins:
+                label = {x: a if y == b else y for x, y in label.items()}
+        calls["flows"] += len(flows)
+        return over
+
+    monkeypatch.setattr(reducer, "contract_edge", counted_contract)
+    monkeypatch.setattr(reducer, "_step", counted_step)
+    monkeypatch.setattr(reducer, "unit_flow", recorded_flow)
+    monkeypatch.setattr(reducer, "_overconnected", checked_overconnected)
+    bench = bench_workloads()
+    for s in range(20):
+        mimicking_network(bench.gen_dense_k2(s),
+                          ReduceParams(threshold=2, mark=MarkParams(c=6, i0=2)))
+    # one flow per forest edge (13 per network), not one per edge without
+    # a terminal end (78 per network)
+    assert (calls["contract_edge"], calls["flows"]) == (20, 260), calls
+    for s in range(100):
+        mimicking_network(bench.gen_corpus_small(s), ReduceParams(threshold=2))
+    assert calls["contracting passes"] > 20, calls  # the corpus adds some
+    assert calls["contract_edge"] == calls["contracting passes"], calls
 
 
 # sparse branch
